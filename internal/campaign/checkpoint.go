@@ -166,12 +166,13 @@ func openCheckpoint[R any](path, hash string, resume bool) (*journal, map[string
 	if resume {
 		return resumeCheckpoint[R](path, hash)
 	}
-	if _, err := os.Stat(path); err == nil {
-		return nil, nil, fmt.Errorf("%w: %s", ErrCheckpointExists, path)
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, err
-	}
+	// O_EXCL alone decides who owns the file: a separate existence
+	// check first would let two fresh runs both pass it, and the loser
+	// would then fail with a bare EEXIST.
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if errors.Is(err, os.ErrExist) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrCheckpointExists, path)
+	}
 	if err != nil {
 		return nil, nil, err
 	}

@@ -37,6 +37,10 @@ type Script struct {
 	// worker is healthy for re-placements (a crashed-and-restarted
 	// worker rather than a persistently broken one).
 	Once bool
+	// StayDown takes the worker down for good when the kill fires:
+	// every later request, probes included, aborts as SetDown(true)
+	// makes it (a crashed host that does not come back).
+	StayDown bool
 	// Shed429 answers this worker's first N placements with 429.
 	Shed429 int
 	// SlowStart delays each placement's first byte.
@@ -121,6 +125,16 @@ func (fw *FakeWorker) clearOnce() {
 	fw.mu.Unlock()
 }
 
+// killed applies the script's aftermath of a fired kill.
+func (fw *FakeWorker) killed() {
+	fw.clearOnce()
+	fw.mu.Lock()
+	if fw.script.StayDown {
+		fw.down = true
+	}
+	fw.mu.Unlock()
+}
+
 func (fw *FakeWorker) handle(w http.ResponseWriter, r *http.Request) {
 	fw.mu.Lock()
 	down := fw.down
@@ -188,7 +202,7 @@ func (f *faultWriter) Write(p []byte) (int, error) {
 	}
 	if f.sc.KillAfterLines != Off && f.lines >= f.sc.KillAfterLines {
 		f.dead = true
-		f.fw.clearOnce()
+		f.fw.killed()
 		if hj, ok := f.w.(http.Hijacker); ok {
 			if conn, _, err := hj.Hijack(); err == nil {
 				conn.Close()

@@ -62,8 +62,11 @@ type Config struct {
 	// streams nothing for this long is declared dead and its un-acked
 	// jobs re-queued (60s).
 	Lease time.Duration
-	// ProbeInterval spaces /healthz probes of unhealthy or busy
-	// workers (2s); ProbeTimeout bounds each probe (= ProbeInterval).
+	// ProbeInterval spaces re-probes of /healthz on down or busy
+	// workers (2s): it is how long a recovered worker may wait to be
+	// noticed. It never delays campaign completion or the switch to
+	// local fallback; both follow events (the queue closing, a worker
+	// turning down). ProbeTimeout bounds each probe (= ProbeInterval).
 	ProbeInterval, ProbeTimeout time.Duration
 	// MaxPlacements quarantines a job after this many placements that
 	// started and then died with it outstanding (3).
@@ -137,11 +140,14 @@ func (c Config) withDefaults() Config {
 
 // workerRef is one daemon's coordinator-side state.
 type workerRef struct {
-	url  string
-	cl   *client.Client
-	brk  *server.Breaker
-	down sync.Mutex // guards the flags below
-	isDn bool
+	url string
+	cl  *client.Client
+	brk *server.Breaker
+	// downs is kicked each time the worker turns down, so the local
+	// fallback loop sees the all-down transition as it happens.
+	downs chan struct{}
+	down  sync.Mutex // guards the flags below
+	isDn  bool
 	// sus marks a worker convicted by the audit: its loop exits, its
 	// breaker is force-opened, and nothing it streams merges again.
 	sus bool
@@ -149,8 +155,12 @@ type workerRef struct {
 
 func (w *workerRef) setDown(v bool) {
 	w.down.Lock()
+	turned := v && !w.isDn
 	w.isDn = v
 	w.down.Unlock()
+	if turned {
+		kick(w.downs)
+	}
 }
 
 func (w *workerRef) isDown() bool {
@@ -164,8 +174,8 @@ func (w *workerRef) isDown() bool {
 func (w *workerRef) setSuspect() {
 	w.down.Lock()
 	w.sus = true
-	w.isDn = true
 	w.down.Unlock()
+	w.setDown(true)
 }
 
 func (w *workerRef) isSuspect() bool {
@@ -184,6 +194,8 @@ type fabricRun struct {
 	workers []*workerRef
 	chunk   int
 	fp      string
+	// downs carries worker-down transitions to the local fallback loop.
+	downs chan struct{}
 
 	// auditWG tracks in-flight audit goroutines; auditMu guards the
 	// accumulating summary and the suspect set.
@@ -278,6 +290,7 @@ func Run(ctx context.Context, cfg Config, src *experiments.JobSource) (*campaign
 		m:        m,
 		chunk:    chunkSize(cfg, len(todo)),
 		fp:       cfg.Fingerprint,
+		downs:    make(chan struct{}, 1),
 		suspects: make(map[string]bool),
 	}
 	for _, u := range cfg.Workers {
@@ -286,15 +299,16 @@ func Run(ctx context.Context, cfg Config, src *experiments.JobSource) (*campaign
 			return nil, fmt.Errorf("fabric: worker %s: %w", u, err)
 		}
 		f.workers = append(f.workers, &workerRef{
-			url: u,
-			cl:  cl,
-			brk: server.NewBreaker(cfg.Breaker, nil),
+			url:   u,
+			cl:    cl,
+			brk:   server.NewBreaker(cfg.Breaker, nil),
+			downs: f.downs,
 		})
 	}
 
-	// Cancellation path: closing the queue wakes blocked poppers; each
-	// chunk stream is additionally canceled through its own context,
-	// which derives from ctx.
+	// Cancellation path: closing the queue wakes blocked poppers and
+	// every loop waiting on q.done; each chunk stream is additionally
+	// canceled through its own context, which derives from ctx.
 	stop := context.AfterFunc(ctx, f.q.close)
 	defer stop()
 
@@ -391,7 +405,8 @@ func chunkSize(cfg Config, jobs int) int {
 // workerLoop drives one worker: probe until healthy, pull a chunk,
 // stream it, repeat. The circuit breaker gates placements after
 // repeated failures; a down or busy worker sleeps a probe interval
-// without holding any jobs.
+// without holding any jobs, and wakes early only to exit when the
+// queue closes.
 func (f *fabricRun) workerLoop(ctx context.Context, w *workerRef) {
 	for {
 		if ctx.Err() != nil || f.q.isClosed() || w.isSuspect() {
@@ -584,29 +599,26 @@ func (f *fabricRun) place(ctx context.Context, w *workerRef, chunk []string) {
 // localLoop is the graceful-degradation path: while every worker is
 // down at once, chunks execute in this process through the very same
 // source runners, so the campaign makes progress instead of stalling.
+// It never polls: it re-checks only when a worker turns down, when
+// jobs go back to pending, or when the queue closes, so it starts on
+// the all-down transition and exits the moment the campaign is done.
 func (f *fabricRun) localLoop(ctx context.Context) {
-	for {
-		if ctx.Err() != nil || f.q.isClosed() {
+	for ctx.Err() == nil {
+		if f.allDown() {
+			if chunk, ok := f.q.tryPop(f.chunk); ok {
+				f.cfg.Logf("fabric: all %d workers down; running %d jobs locally", len(f.workers), len(chunk))
+				f.runLocal(ctx, chunk)
+				continue
+			}
+		}
+		select {
+		case <-f.downs:
+		case <-f.q.ready:
+		case <-f.q.done:
+			return
+		case <-ctx.Done():
 			return
 		}
-		if !f.allDown() {
-			if !f.sleep(ctx, f.cfg.ProbeInterval) {
-				return
-			}
-			continue
-		}
-		chunk, ok := f.q.tryPop(f.chunk)
-		if !ok {
-			if f.q.isClosed() {
-				return
-			}
-			if !f.sleep(ctx, f.cfg.ProbeInterval) {
-				return
-			}
-			continue
-		}
-		f.cfg.Logf("fabric: all %d workers down; running %d jobs locally", len(f.workers), len(chunk))
-		f.runLocal(ctx, chunk)
 	}
 }
 
@@ -648,13 +660,16 @@ func (f *fabricRun) runLocal(ctx context.Context, chunk []string) {
 	f.q.requeue(chunk, false)
 }
 
-// sleep waits d or until ctx is done; false means stop looping.
+// sleep waits d, or until the queue closes or ctx is done; false means
+// stop looping.
 func (f *fabricRun) sleep(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
+	case <-f.q.done:
+		return false
 	case <-ctx.Done():
 		return false
 	}

@@ -8,7 +8,8 @@ import "sync"
 // merged; a placement that dies gives its un-acked jobs back via
 // requeue. The queue closes when every job is done or quarantined,
 // when a fatal error is recorded, or when the run is canceled —
-// blocked poppers wake and exit either way.
+// blocked poppers wake and exit either way, and done is closed so
+// loops waiting on anything else wake too.
 type jobState struct {
 	// placements counts started-then-lost placements: streams that
 	// opened and then died with this job still outstanding. Jobs with a
@@ -28,8 +29,15 @@ type queue struct {
 	remaining     int
 	maxPlacements int
 	closed        bool
-	err           error
-	quarantined   []string
+	// done is closed exactly once, when closed turns true: the wake
+	// signal for loops that wait on other events besides the queue.
+	done chan struct{}
+	// ready holds one token whenever jobs have gone back to pending
+	// (requeue, reopen) since the last receive; the local fallback
+	// loop waits on it rather than polling.
+	ready       chan struct{}
+	err         error
+	quarantined []string
 	// audits counts in-flight audit re-executions. The queue refuses to
 	// close on remaining==0 while audits are outstanding: an audit can
 	// still convict a worker and reopen its jobs, so "every job acked"
@@ -43,15 +51,46 @@ func newQueue(ids []string, maxPlacements int) *queue {
 		st:            make(map[string]*jobState, len(ids)),
 		remaining:     len(ids),
 		maxPlacements: maxPlacements,
+		done:          make(chan struct{}),
+		ready:         make(chan struct{}, 1),
 	}
 	for _, id := range ids {
 		q.st[id] = &jobState{}
 	}
 	q.cond = sync.NewCond(&q.mu)
 	if len(ids) == 0 {
-		q.closed = true
+		q.closeLocked()
 	}
 	return q
+}
+
+// closeLocked is the one way the queue closes: it wakes blocked
+// poppers and closes done, once, whichever path got here first.
+func (q *queue) closeLocked() {
+	if q.closed {
+		return
+	}
+	q.closed = true
+	close(q.done)
+	q.cond.Broadcast()
+}
+
+// closeIfSettledLocked closes the queue once no job is left and no
+// audit can reopen one.
+func (q *queue) closeIfSettledLocked() {
+	if q.remaining == 0 && q.audits == 0 {
+		q.closeLocked()
+	}
+}
+
+// kick leaves a token on a one-slot event channel without blocking: a
+// token already waiting covers this event too, so a single waiter that
+// checks its state and then receives never misses a change.
+func kick(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // pop blocks until work is available — returning a chunk of up to max
@@ -106,10 +145,7 @@ func (q *queue) ack(id string) {
 	}
 	s.done = true
 	q.remaining--
-	if q.remaining == 0 && q.audits == 0 {
-		q.closed = true
-		q.cond.Broadcast()
-	}
+	q.closeIfSettledLocked()
 }
 
 // beginAudit registers one in-flight audit re-execution. It must be
@@ -127,10 +163,7 @@ func (q *queue) endAudit() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.audits--
-	if q.remaining == 0 && q.audits == 0 {
-		q.closed = true
-		q.cond.Broadcast()
-	}
+	q.closeIfSettledLocked()
 }
 
 // reopen puts convicted-and-invalidated jobs back on the queue: their
@@ -144,6 +177,7 @@ func (q *queue) reopen(ids []string) {
 	if q.closed {
 		return
 	}
+	n := len(q.pending)
 	for _, id := range ids {
 		s, ok := q.st[id]
 		if !ok || !s.done {
@@ -154,6 +188,9 @@ func (q *queue) reopen(ids []string) {
 		q.pending = append(q.pending, id)
 	}
 	q.cond.Broadcast()
+	if len(q.pending) > n {
+		kick(q.ready)
+	}
 }
 
 // requeue gives a dead placement's un-acked jobs back. penalize marks
@@ -164,6 +201,7 @@ func (q *queue) reopen(ids []string) {
 func (q *queue) requeue(ids []string, penalize bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	n := len(q.pending)
 	for _, id := range ids {
 		s, ok := q.st[id]
 		if !ok || s.done || s.quarantined {
@@ -180,10 +218,11 @@ func (q *queue) requeue(ids []string, penalize bool) {
 		}
 		q.pending = append(q.pending, id)
 	}
-	if q.remaining == 0 && q.audits == 0 {
-		q.closed = true
-	}
+	q.closeIfSettledLocked()
 	q.cond.Broadcast()
+	if len(q.pending) > n {
+		kick(q.ready)
+	}
 }
 
 // fail records a fatal error (first one wins) and closes the queue.
@@ -193,16 +232,14 @@ func (q *queue) fail(err error) {
 	if q.err == nil {
 		q.err = err
 	}
-	q.closed = true
-	q.cond.Broadcast()
+	q.closeLocked()
 }
 
 // close shuts the queue for cancellation; pending jobs stay unfinished.
 func (q *queue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
+	q.closeLocked()
 }
 
 func (q *queue) isClosed() bool {

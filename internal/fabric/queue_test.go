@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -85,5 +86,143 @@ func TestQueuePopWakesOnCloseAndFail(t *testing.T) {
 	}
 	if q.failure() == nil {
 		t.Fatal("failure not recorded")
+	}
+}
+
+// Every way the queue can close must close done exactly once and wake
+// every waiter: loops asleep on done and poppers blocked in pop alike.
+// Closing again by any path afterwards must neither panic (a second
+// close of done) nor reopen anything.
+func TestQueueDoneClosesOnceOnEveryClosePath(t *testing.T) {
+	cases := []struct {
+		name string
+		// setup leaves a live queue with nothing pending, so pop blocks;
+		// nil means an empty queue, closed at construction.
+		setup func() *queue
+		// shut is the one call that closes it.
+		shut func(q *queue)
+	}{
+		{"ack to zero", leasedQueue, func(q *queue) { q.ack("a") }},
+		{"endAudit", func() *queue {
+			q := leasedQueue()
+			q.beginAudit()
+			q.ack("a") // every job acked, but the audit holds the queue open
+			return q
+		}, func(q *queue) { q.endAudit() }},
+		{"quarantining requeue", func() *queue {
+			q := newQueue([]string{"a"}, 1)
+			q.pop(1)
+			return q
+		}, func(q *queue) { q.requeue([]string{"a"}, true) }},
+		{"fail", leasedQueue, func(q *queue) { q.fail(errLeaseExpired) }},
+		{"close", leasedQueue, func(q *queue) { q.close() }},
+		{"empty newQueue", nil, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newQueue(nil, 3)
+			if tc.setup != nil {
+				q = tc.setup()
+				if isDone(q) {
+					t.Fatal("done closed before the closing call")
+				}
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(2)
+				go func() { defer wg.Done(); <-q.done }()
+				go func() {
+					defer wg.Done()
+					if _, ok := q.pop(1); ok {
+						t.Error("pop returned work from a closed queue")
+					}
+				}()
+			}
+			if tc.shut != nil {
+				tc.shut(q)
+			}
+			waitOrFail(t, &wg, "a waiter was left asleep after the queue closed")
+			if !isDone(q) || !q.isClosed() {
+				t.Fatal("queue not closed")
+			}
+			// Every close path again, in any order: none may panic.
+			q.close()
+			q.fail(errLeaseExpired)
+			q.ack("a")
+			q.requeue([]string{"a"}, true)
+			q.beginAudit()
+			q.endAudit()
+			q.reopen([]string{"a"})
+			if _, ok := q.tryPop(1); ok {
+				t.Fatal("a closed queue handed out work")
+			}
+		})
+	}
+}
+
+// ready carries one token per burst of jobs going back to pending, so
+// the local fallback loop wakes on requeue and reopen, not on a timer.
+func TestQueueReadySignalsPendingJobs(t *testing.T) {
+	q := newQueue([]string{"a", "b"}, 3)
+	chunk, _ := q.pop(2)
+	if isReady(q) {
+		t.Fatal("ready signaled before any job went back to pending")
+	}
+	q.ack("a")
+	q.requeue(chunk, false) // "b" goes back; "a" is done
+	if !isReady(q) {
+		t.Fatal("requeue of an unfinished job did not signal ready")
+	}
+	if isReady(q) {
+		t.Fatal("one requeue left two tokens")
+	}
+	q.requeue([]string{"a"}, false)
+	if isReady(q) {
+		t.Fatal("requeue of a done job signaled ready")
+	}
+	q.beginAudit()
+	q.tryPop(1)
+	q.ack("b")
+	q.reopen([]string{"a"})
+	if !isReady(q) {
+		t.Fatal("reopen did not signal ready")
+	}
+}
+
+// leasedQueue returns a one-job queue whose job is out on a placement.
+func leasedQueue() *queue {
+	q := newQueue([]string{"a"}, 3)
+	q.pop(1)
+	return q
+}
+
+func isDone(q *queue) bool {
+	select {
+	case <-q.done:
+		return true
+	default:
+		return false
+	}
+}
+
+func isReady(q *queue) bool {
+	select {
+	case <-q.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// waitOrFail waits for wg, failing rather than hanging the test binary
+// if a waiter never wakes.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup, msg string) {
+	t.Helper()
+	woke := make(chan struct{})
+	go func() { wg.Wait(); close(woke) }()
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal(msg)
 	}
 }
