@@ -2,33 +2,19 @@
 // evaluation (the experiment index in DESIGN.md §4), printing the results
 // and optionally writing text + CSV files into a results directory.
 //
-// The full-suite sweep runs as a crash-safe campaign: with -checkpoint
-// every finished (workload, structure) job is journaled, and -resume
-// skips finished jobs so an interrupted run continues where it stopped,
-// producing output byte-identical to an uninterrupted run. SIGINT or
+// The full-suite sweep runs as a crash-safe campaign with the campaign
+// and profiling flags of internal/cli: checkpoint and resume, a result
+// cache, retries and deadlines, and -workers to shard the sweep across
+// ftspmd daemons (DESIGN.md §10, §14–16). Merged, resumed and warm
+// sweeps are byte-identical to a cold single-node run. SIGINT or
 // SIGTERM drains in-flight jobs, flushes the checkpoint, salvages
-// partial results, and exits with status 3.
+// partial results, and exits with status 3. The single-machine
+// experiments (tables, case study, ablations) always run locally.
 //
 // Usage:
 //
-//	ftspm-bench [-scale 0.25] [-out results] [-json file]
-//	            [-checkpoint sweep.ckpt] [-resume] [-cache file]
-//	            [-parallel N] [-retries N] [-job-timeout d]
-//	            [-workers host1:8077,host2:8077] [-lease 60s]
-//	            [-audit-frac 0.1] [-audit-seed 0]
-//
-// With -workers the sweep campaign is sharded across the listed ftspmd
-// daemons by the distributed fabric (internal/fabric); the merged sweep
-// and its -checkpoint journal are byte-identical to a single-node run.
-// The single-machine experiments (tables, case study, ablations) always
-// run locally.
-//
-// -cache memoizes sweep jobs in a content-addressed result cache file
-// (DESIGN.md §16): a warm re-run of the same sweep answers jobs from
-// the cache instead of recomputing, byte-identical to a cold run. The
-// file is versioned by the build fingerprint, and with -workers it
-// becomes the coordinator's pre-merge cache (hits never leave the
-// machine; only locally-computed results ever enter the file).
+//	ftspm-bench [-scale 0.25] [-out results] [-json file] [-ablations]
+//	            [campaign and profiling flags; see -h]
 //
 // Exit status: 0 success, 1 error, 2 bad flags, 3 interrupted (partial
 // results salvaged; resumable).
@@ -36,21 +22,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
-	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/cli"
 	"ftspm/internal/experiments"
-	"ftspm/internal/fabric"
-	"ftspm/internal/fabric/wire"
 	"ftspm/internal/report"
 	"ftspm/internal/resultcache"
 )
@@ -69,50 +50,17 @@ func main() {
 // wall-clock and allocation cost of a full RunSweep, so the sweep
 // engine's perf trajectory is tracked across PRs.
 type sweepMeasurement struct {
-	Benchmark  string  `json:"benchmark"`
-	Scale      float64 `json:"scale"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	WallMS     float64 `json:"wall_ms"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Allocs     uint64  `json:"allocs"`
+	Benchmark string  `json:"benchmark"`
+	Scale     float64 `json:"scale"`
+	cli.Measurement
 	// Cache carries the result-cache counters when -cache was in play,
 	// so warm and cold runs are distinguishable in the perf history.
 	Cache *resultcache.Stats `json:"cache,omitempty"`
 }
 
-// appendSweepMeasurement appends one JSON line describing the sweep
-// that just ran (allocation deltas are process-wide, so run with a
-// quiet process for clean numbers). The record is fsynced before close:
-// append-only history cannot be renamed into place atomically, but it
-// must survive a crash right after the run it measures.
-func appendSweepMeasurement(path string, scale float64, wall time.Duration, before runtime.MemStats, rc *resultcache.Cache) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	m := sweepMeasurement{
-		Benchmark:  "RunSweep",
-		Scale:      scale,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Allocs:     after.Mallocs - before.Mallocs,
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		m.Cache = &cs
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
+// flagsHook, when set by a test, sees the fully registered flag set
+// before parsing.
+var flagsHook func(*flag.FlagSet)
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftspm-bench", flag.ContinueOnError)
@@ -120,76 +68,26 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	outDir := fs.String("out", "", "directory for .txt/.csv result files (empty: stdout only)")
 	ablations := fs.Bool("ablations", false, "also run the design-choice ablation studies")
 	jsonPath := fs.String("json", "", "also write a machine-readable sweep summary to this file")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	perfJSON := fs.String("perfjson", "", "append a sweep wall-clock/allocation measurement to this JSON-lines file")
-	checkpoint := fs.String("checkpoint", "", "journal finished sweep jobs to this file (crash-safe campaign)")
-	resume := fs.Bool("resume", false, "skip sweep jobs already journaled in -checkpoint")
-	cachePath := fs.String("cache", "", "memoize sweep jobs in this content-addressed cache file (warm runs skip recomputing)")
-	parallel := fs.Int("parallel", 0, "sweep worker pool size, local or per fabric chunk (0: GOMAXPROCS)")
-	workers := fs.String("workers", "", "comma-separated ftspmd worker URLs: distribute the sweep over the fabric")
-	lease := fs.Duration("lease", 0, "fabric heartbeat lease before a silent worker is declared dead (0: 60s)")
-	auditFrac := fs.Float64("audit-frac", 0, "fraction of fabric results to audit by re-execution on a different executor (0 disables)")
-	auditSeed := fs.Int64("audit-seed", 0, "seed for the deterministic audit job selection")
-	retries := fs.Int("retries", 0, "per-job retries before a sweep job is recorded failed")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-job deadline for sweep jobs (0: none)")
+	fc := cli.AddCampaignFlags(fs, "sweep job")
+	perf := cli.AddProfileFlags(fs)
+	if flagsHook != nil {
+		flagsHook(fs)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *scale <= 0 {
 		return campaign.Usagef("-scale must be > 0 (got %g)", *scale)
 	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		return campaign.Usagef("-audit-frac must be a probability in [0, 1] (got %g)", *auditFrac)
-	}
-	if *auditFrac > 0 && *workers == "" {
-		return campaign.Usagef("-audit-frac requires -workers (audits re-execute fabric results)")
-	}
-	cc := experiments.CampaignConfig{
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
-		Workers:    *parallel,
-		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-	}
-	if err := cc.Validate(); err != nil {
+	if err := fc.Open(); err != nil {
 		return err
 	}
-	var rc *resultcache.Cache
-	if *cachePath != "" {
-		var err error
-		rc, err = resultcache.Open(resultcache.Config{Path: *cachePath, Fingerprint: wire.Fingerprint()})
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		defer rc.Close()
-		cc.Cache = rc
+	defer fc.Close()
+	stopProfile, err := perf.Start()
+	if err != nil {
+		return err
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-bench: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 	opts := experiments.Options{Scale: *scale}
 
 	emit := func(name string, t *report.Table) error {
@@ -272,51 +170,21 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	// Full-suite sweep (Section V figures), as a crash-safe campaign.
 	fmt.Fprintln(out, "running the 12-workload x 3-structure sweep ...")
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sweepStart := time.Now()
-	var sw *experiments.Sweep
-	var status *experiments.CampaignStatus
-	var runErr error
-	if *workers != "" {
-		sw, status, runErr = fabric.RunSweep(ctx, fabric.Config{
-			Workers:    fabric.ParseWorkers(*workers),
-			Parallel:   *parallel,
-			Lease:      *lease,
-			Retries:    *retries,
-			JobTimeout: *jobTimeout,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-			AuditFrac:  *auditFrac,
-			AuditSeed:  *auditSeed,
-			Cache:      rc,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ftspm-bench: "+format+"\n", args...)
-			},
-		}, opts)
-	} else {
-		sw, status, runErr = experiments.RunSweepCampaign(ctx, opts, cc)
-	}
+	perf.Mark()
+	sw, status, runErr := experiments.RunSweepOn(ctx, opts, fc.Run)
 	if sw == nil {
 		return runErr // campaign setup failure (checkpoint, flags)
 	}
-	if status.Resumed > 0 {
-		fmt.Fprintf(out, "resumed %d finished jobs from %s\n", status.Resumed, *checkpoint)
-	}
-	fabric.PrintAuditSummary(out, status)
+	fc.PrintSummary(out, status)
 	if runErr != nil || status.Failed > 0 {
 		return salvageSweep(out, sw, status, *jsonPath, runErr)
 	}
-	if *perfJSON != "" {
-		if err := appendSweepMeasurement(*perfJSON, *scale, time.Since(sweepStart), before, rc); err != nil {
+	if perf.PerfJSON != "" {
+		rec := sweepMeasurement{Benchmark: "RunSweep", Scale: *scale, Measurement: perf.Measure(), Cache: fc.CacheStats()}
+		if err := perf.Append(rec); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "appended sweep measurement to %s\n", *perfJSON)
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		fmt.Fprintf(out, "result cache: %d hits, %d misses, %d bypasses (%d entries)\n",
-			cs.Hits, cs.Misses, cs.Bypasses, cs.Entries)
+		fmt.Fprintf(out, "appended sweep measurement to %s\n", perf.PerfJSON)
 	}
 	f4, err := experiments.Fig4(sw)
 	if err != nil {
@@ -475,12 +343,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 // the process exits non-zero (status 3 when resumable).
 func salvageSweep(out io.Writer, sw *experiments.Sweep, status *experiments.CampaignStatus,
 	jsonPath string, runErr error) error {
-	for _, f := range status.Failures {
-		fmt.Fprintf(out, "sweep job %s failed after %d attempt(s): %s\n", f.ID, f.Attempts, f.Error)
-		if f.Stack != "" {
-			fmt.Fprintf(out, "%s\n", f.Stack)
-		}
-	}
 	fmt.Fprintf(out, "sweep incomplete: %d done, %d failed, %d pending\n",
 		status.Completed, status.Failed, status.Pending)
 	if jsonPath != "" {

@@ -3,12 +3,21 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/server"
 )
 
 func TestRunBenchEndToEnd(t *testing.T) {
@@ -89,6 +98,12 @@ func TestRunBenchUsageErrors(t *testing.T) {
 		{"-resume"}, // resume requires -checkpoint
 		{"-scale", "0"},
 		{"-retries", "-2"},
+		{"-retries", "-1"},
+		{"-job-timeout", "-1s"},
+		{"-audit-frac", "1.5"},
+		{"-audit-frac", "0.1"}, // audits need -workers
+		{"-parallel", "-1"},
+		{"-lease", "-1s"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})
@@ -100,5 +115,122 @@ func TestRunBenchUsageErrors(t *testing.T) {
 			t.Errorf("args %v: exit code %d, want %d (err: %v)",
 				args, campaign.ExitCode(err), campaign.ExitUsage, err)
 		}
+	}
+}
+
+// TestFlagSurface pins every flag's name, type and default, so moving
+// flags between packages cannot silently change the command line.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"ablations bool false",
+		"audit-frac float64 0",
+		"audit-seed int64 0",
+		"cache string ",
+		"checkpoint string ",
+		"cpuprofile string ",
+		"job-timeout time.Duration 0s",
+		"json string ",
+		"lease time.Duration 0s",
+		"memprofile string ",
+		"out string ",
+		"parallel int 0",
+		"perfjson string ",
+		"resume bool false",
+		"retries int 0",
+		"scale float64 0.25",
+		"workers string ",
+	}
+	var got []string
+	flagsHook = func(fs *flag.FlagSet) {
+		fs.SetOutput(io.Discard)
+		fs.VisitAll(func(f *flag.Flag) {
+			got = append(got, fmt.Sprintf("%s %T %s", f.Name, f.Value.(flag.Getter).Get(), f.DefValue))
+		})
+	}
+	defer func() { flagsHook = nil }()
+	if err := run(context.Background(), []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRunBenchFabricMatchesLocal shards the sweep over two in-process
+// ftspmd workers: the merged JSON summary must be byte-identical to a
+// local run's.
+func TestRunBenchFabricMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full sweeps")
+	}
+	dir := t.TempDir()
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv, err := server.New(server.Config{DataDir: filepath.Join(dir, fmt.Sprintf("worker-%d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		urls = append(urls, ts.URL)
+	}
+	local := filepath.Join(dir, "local.json")
+	if err := run(context.Background(), []string{"-scale", "0.05", "-json", local}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dist := filepath.Join(dir, "dist.json")
+	if err := run(context.Background(), []string{"-scale", "0.05", "-json", dist,
+		"-workers", strings.Join(urls, ",")}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("fabric summary differs from local:\n%s\nvs\n%s", b, a)
+	}
+}
+
+// TestRunBenchPerfArtifacts drives the profiling flags: both profiles
+// are written and -perfjson appends one line with the record's field
+// names.
+func TestRunBenchPerfArtifacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep")
+	}
+	dir := t.TempDir()
+	perf := filepath.Join(dir, "perf.jsonl")
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run(context.Background(), []string{"-scale", "0.05",
+		"-perfjson", perf, "-cpuprofile", cpu, "-memprofile", mem}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", p, err)
+		}
+	}
+	data, err := os.ReadFile(perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("bad perfjson line %q: %v", data, err)
+	}
+	var keys []string
+	for k := range rec {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"alloc_bytes", "allocs", "benchmark", "gomaxprocs", "scale", "wall_ms"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("perfjson fields = %v, want %v", keys, want)
 	}
 }

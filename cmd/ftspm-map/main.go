@@ -5,23 +5,18 @@
 // Usage:
 //
 //	ftspm-map [-workload casestudy] [-structure ftspm] [-priority reliability]
-//	          [-scale 0.25] [-csv]
-//	          [-cpuprofile f] [-memprofile f] [-perfjson f]
+//	          [-scale 0.25] [-csv] [profiling flags of internal/cli; see -h]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
-	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/cli"
 	"ftspm/internal/core"
 	"ftspm/internal/profile"
 	"ftspm/internal/report"
@@ -42,68 +37,16 @@ func main() {
 // cost of the profile + MDA hot path, mirroring the measurement shape
 // ftspm-bench and ftspm-soak append so one tool can chart all three.
 type mapMeasurement struct {
-	Benchmark  string  `json:"benchmark"`
-	Workload   string  `json:"workload"`
-	Structure  string  `json:"structure"`
-	Scale      float64 `json:"scale"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	WallMS     float64 `json:"wall_ms"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Allocs     uint64  `json:"allocs"`
+	Benchmark string  `json:"benchmark"`
+	Workload  string  `json:"workload"`
+	Structure string  `json:"structure"`
+	Scale     float64 `json:"scale"`
+	cli.Measurement
 }
 
-// appendMapMeasurement appends one JSON line describing the mapping
-// that just ran (allocation deltas are process-wide, so run with a
-// quiet process for clean numbers). The record is fsynced before close.
-func appendMapMeasurement(path string, m mapMeasurement, wall time.Duration, before runtime.MemStats) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	m.Benchmark = "MapBlocks"
-	m.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	m.WallMS = float64(wall.Microseconds()) / 1e3
-	m.AllocBytes = after.TotalAlloc - before.TotalAlloc
-	m.Allocs = after.Mallocs - before.Mallocs
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func parseStructure(s string) (core.Structure, error) {
-	switch strings.ToLower(s) {
-	case "ftspm":
-		return core.StructFTSPM, nil
-	case "sram", "pure-sram":
-		return core.StructPureSRAM, nil
-	case "stt", "stt-ram", "pure-stt":
-		return core.StructPureSTT, nil
-	default:
-		return 0, campaign.Usagef("unknown structure %q (ftspm, sram, stt)", s)
-	}
-}
-
-func parsePriority(s string) (core.Priority, error) {
-	switch strings.ToLower(s) {
-	case "reliability":
-		return core.PriorityReliability, nil
-	case "performance":
-		return core.PriorityPerformance, nil
-	case "power":
-		return core.PriorityPower, nil
-	case "endurance":
-		return core.PriorityEndurance, nil
-	default:
-		return 0, campaign.Usagef("unknown priority %q (reliability, performance, power, endurance)", s)
-	}
-}
+// flagsHook, when set by a test, sees the fully registered flag set
+// before parsing.
+var flagsHook func(*flag.FlagSet)
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftspm-map", flag.ContinueOnError)
@@ -113,9 +56,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"MDA optimization priority: reliability, performance, power, or endurance")
 	scale := fs.Float64("scale", 0.25, "trace length relative to the reference")
 	asCSV := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	perfJSON := fs.String("perfjson", "", "append a profile+mapping wall-clock/allocation measurement to this JSON-lines file")
+	perf := cli.AddProfileFlags(fs)
+	if flagsHook != nil {
+		flagsHook(fs)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -123,13 +67,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *scale <= 0 {
 		return campaign.Usagef("-scale must be > 0 (got %g)", *scale)
 	}
-	s, err := parseStructure(*structure)
-	if err != nil {
-		return err
+	s, err := core.ParseStructure(*structure)
+	if err != nil || s == core.StructDMR {
+		return campaign.Usagef("unknown structure %q (ftspm, sram, stt)", *structure)
 	}
-	prio, err := parsePriority(*priority)
+	prio, err := core.ParsePriority(*priority)
 	if err != nil {
-		return err
+		return campaign.Usagef("%v", err)
 	}
 	w, err := workloads.ByName(*workload)
 	if err != nil {
@@ -138,35 +82,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := perf.Start()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-map: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-map: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
+	perf.Mark()
 	prof, err := profile.Run(w.Program(), w.TraceStream(*scale))
 	if err != nil {
 		return err
@@ -179,9 +101,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *perfJSON != "" {
-		meas := mapMeasurement{Workload: w.Name, Structure: s.String(), Scale: *scale}
-		if err := appendMapMeasurement(*perfJSON, meas, time.Since(start), before); err != nil {
+	if perf.PerfJSON != "" {
+		rec := mapMeasurement{Benchmark: "MapBlocks", Workload: w.Name, Structure: s.String(), Scale: *scale, Measurement: perf.Measure()}
+		if err := perf.Append(rec); err != nil {
 			return err
 		}
 	}

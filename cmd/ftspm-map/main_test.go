@@ -4,48 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 )
-
-func TestParseStructure(t *testing.T) {
-	tests := map[string]core.Structure{
-		"ftspm": core.StructFTSPM, "FTSPM": core.StructFTSPM,
-		"sram": core.StructPureSRAM, "pure-sram": core.StructPureSRAM,
-		"stt": core.StructPureSTT, "stt-ram": core.StructPureSTT, "pure-stt": core.StructPureSTT,
-	}
-	for in, want := range tests {
-		got, err := parseStructure(in)
-		if err != nil || got != want {
-			t.Errorf("parseStructure(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseStructure("dram"); err == nil {
-		t.Error("bad structure accepted")
-	}
-}
-
-func TestParsePriority(t *testing.T) {
-	tests := map[string]core.Priority{
-		"reliability": core.PriorityReliability,
-		"performance": core.PriorityPerformance,
-		"power":       core.PriorityPower,
-		"Endurance":   core.PriorityEndurance,
-	}
-	for in, want := range tests {
-		got, err := parsePriority(in)
-		if err != nil || got != want {
-			t.Errorf("parsePriority(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parsePriority("speed"); err == nil {
-		t.Error("bad priority accepted")
-	}
-}
 
 func TestRunMapTableII(t *testing.T) {
 	var buf bytes.Buffer
@@ -60,6 +31,34 @@ func TestRunMapTableII(t *testing.T) {
 	}
 }
 
+// TestParseStructure checks that the -structure flag accepts every
+// spelling of the three mappable structures and names the resolved one
+// in the table title, and rejects unknown names and DMR as usage errors.
+func TestParseStructure(t *testing.T) {
+	tests := map[string]core.Structure{
+		"ftspm": core.StructFTSPM, "FTSPM": core.StructFTSPM,
+		"sram": core.StructPureSRAM, "pure-sram": core.StructPureSRAM,
+		"stt": core.StructPureSTT, "stt-ram": core.StructPureSTT, "pure-stt": core.StructPureSTT,
+	}
+	for in, want := range tests {
+		var buf bytes.Buffer
+		err := run(context.Background(), []string{"-structure", in, "-scale", "0.02"}, &buf)
+		if err != nil {
+			t.Errorf("-structure %q: %v", in, err)
+			continue
+		}
+		if title := fmt.Sprintf("on %v (", want); !strings.Contains(buf.String(), title) {
+			t.Errorf("-structure %q: output lacks %q", in, title)
+		}
+	}
+	for _, bad := range []string{"dram", "dmr"} {
+		err := run(context.Background(), []string{"-structure", bad}, io.Discard)
+		if campaign.ExitCode(err) != campaign.ExitUsage {
+			t.Errorf("-structure %q: %v, want a usage error", bad, err)
+		}
+	}
+}
+
 func TestRunMapCSVAndErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(context.Background(), []string{"-workload", "sha", "-scale", "0.05", "-csv"}, &buf); err != nil {
@@ -68,11 +67,14 @@ func TestRunMapCSVAndErrors(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "Block,") {
 		t.Error("csv header missing")
 	}
-	if err := run(context.Background(), []string{"-structure", "bogus"}, &buf); err == nil {
-		t.Error("bad structure accepted")
-	}
-	if err := run(context.Background(), []string{"-priority", "bogus"}, &buf); err == nil {
-		t.Error("bad priority accepted")
+	for _, args := range [][]string{
+		{"-structure", "bogus"},
+		{"-structure", "dmr"},
+		{"-priority", "bogus"},
+	} {
+		if err := run(context.Background(), args, &buf); campaign.ExitCode(err) != campaign.ExitUsage {
+			t.Errorf("args %v: %v, want a usage error", args, err)
+		}
 	}
 	if err := run(context.Background(), []string{"-workload", "bogus"}, &buf); err == nil {
 		t.Error("bad workload accepted")
@@ -123,5 +125,34 @@ func TestRunMapPerfArtifacts(t *testing.T) {
 		if err != nil || st.Size() == 0 {
 			t.Errorf("profile %s missing or empty: %v", p, err)
 		}
+	}
+}
+
+// TestFlagSurface pins every flag's name, type and default, so moving
+// flags between packages cannot silently change the command line.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"cpuprofile string ",
+		"csv bool false",
+		"memprofile string ",
+		"perfjson string ",
+		"priority string reliability",
+		"scale float64 0.25",
+		"structure string ftspm",
+		"workload string casestudy",
+	}
+	var got []string
+	flagsHook = func(fs *flag.FlagSet) {
+		fs.SetOutput(io.Discard)
+		fs.VisitAll(func(f *flag.Flag) {
+			got = append(got, fmt.Sprintf("%s %T %s", f.Name, f.Value.(flag.Getter).Get(), f.DefValue))
+		})
+	}
+	defer func() { flagsHook = nil }()
+	if err := run(context.Background(), []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"ftspm/internal/campaign"
 	"ftspm/internal/core"
@@ -36,36 +35,6 @@ func main() {
 	}
 }
 
-func parseStructure(s string) (core.Structure, error) {
-	switch strings.ToLower(s) {
-	case "ftspm":
-		return core.StructFTSPM, nil
-	case "sram", "pure-sram":
-		return core.StructPureSRAM, nil
-	case "stt", "stt-ram", "pure-stt":
-		return core.StructPureSTT, nil
-	case "dmr", "duplication":
-		return core.StructDMR, nil
-	default:
-		return 0, campaign.Usagef("unknown structure %q (ftspm, sram, stt, dmr)", s)
-	}
-}
-
-func parsePriority(s string) (core.Priority, error) {
-	switch strings.ToLower(s) {
-	case "reliability":
-		return core.PriorityReliability, nil
-	case "performance":
-		return core.PriorityPerformance, nil
-	case "power":
-		return core.PriorityPower, nil
-	case "endurance":
-		return core.PriorityEndurance, nil
-	default:
-		return 0, campaign.Usagef("unknown priority %q (reliability, performance, power, endurance)", s)
-	}
-}
-
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftspm-sim", flag.ContinueOnError)
 	workload := fs.String("workload", workloads.CaseStudyName, "workload name")
@@ -81,13 +50,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *scale <= 0 {
 		return campaign.Usagef("-scale must be > 0 (got %g)", *scale)
 	}
-	s, err := parseStructure(*structure)
+	s, err := core.ParseStructure(*structure)
 	if err != nil {
-		return err
+		return campaign.Usagef("unknown structure %q (ftspm, sram, stt, dmr)", *structure)
 	}
-	prio, err := parsePriority(*priority)
+	prio, err := core.ParsePriority(*priority)
 	if err != nil {
-		return err
+		return campaign.Usagef("%v", err)
 	}
 
 	if err := ctx.Err(); err != nil {

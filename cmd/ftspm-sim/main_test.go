@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"ftspm/internal/campaign"
 )
 
 func TestRunSimFTSPM(t *testing.T) {
@@ -42,8 +44,8 @@ func TestRunSimBaselines(t *testing.T) {
 
 func TestRunSimErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(context.Background(), []string{"-structure", "bogus"}, &buf); err == nil {
-		t.Error("bad structure accepted")
+	if err := run(context.Background(), []string{"-structure", "bogus"}, &buf); campaign.ExitCode(err) != campaign.ExitUsage {
+		t.Errorf("bad structure: %v, want a usage error", err)
 	}
 	if err := run(context.Background(), []string{"-workload", "bogus"}, &buf); err == nil {
 		t.Error("bad workload accepted")
@@ -76,5 +78,10 @@ func TestRunSimWithPlanAndPriority(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "DMR") {
 		t.Error("DMR run missing structure name")
+	}
+	// The canonical name a report prints is accepted back.
+	buf.Reset()
+	if err := run(context.Background(), []string{"-workload", "crc32", "-structure", "pure-STT-RAM", "-scale", "0.05"}, &buf); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,13 +4,14 @@
 // wear), reporting recovered/DUE/SDC rates and time-to-degraded per
 // structure.
 //
-// All (structure, trial) pairs run as one crash-safe campaign: with
-// -checkpoint every finished trial is journaled, and -resume skips
-// finished trials so an interrupted campaign continues where it
-// stopped, producing output byte-identical to an uninterrupted run.
-// SIGINT or SIGTERM drains in-flight trials, flushes the checkpoint,
-// salvages partial reports (marked incomplete), and exits with
-// status 3.
+// All (structure, trial) pairs run as one crash-safe campaign with the
+// campaign and profiling flags of internal/cli: checkpoint and resume,
+// a result cache, retries and deadlines, and -workers to shard the
+// trials across ftspmd daemons with -audit-frac re-execution audits
+// (DESIGN.md §10, §14–16). Merged, resumed and warm campaigns are
+// byte-identical to an uninterrupted single-node run. SIGINT or
+// SIGTERM drains in-flight trials, flushes the checkpoint, salvages
+// partial reports (marked incomplete), and exits with status 3.
 //
 // Usage:
 //
@@ -18,33 +19,18 @@
 //	           [-trials 8] [-scale 0.05] [-strike 0.01] [-target data]
 //	           [-scrub 4096] [-policy rollback] [-no-recovery]
 //	           [-wear-fail 0] [-wear-stuck 0] [-seed 1] [-json file]
-//	           [-lanes 0] [-checkpoint soak.ckpt] [-resume] [-cache file]
-//	           [-parallel N] [-retries N] [-job-timeout d]
-//	           [-workers host1:8077,host2:8077] [-lease 60s]
-//	           [-audit-frac 0.1] [-audit-seed 0]
+//	           [-lanes 0]
 //	           [-storm] [-storm-calm 0.001] [-storm-intensity 0.2]
 //	           [-storm-calm-dwell 4000] [-storm-dwell 400] [-storm-span 2]
 //	           [-storm-thermal 1] [-storm-hot 0] [-storm-hot-blocks 4]
 //	           [-adaptive]
-//	           [-cpuprofile f] [-memprofile f] [-perfjson f]
+//	           [campaign and profiling flags; see -h]
 //
-// With -workers the campaign is sharded across the listed ftspmd
-// daemons by the distributed fabric (internal/fabric): per-worker
-// health probing, lease-based dead-worker detection with re-queue,
-// poison-job quarantine, and local-execution fallback when every
-// worker is down. The merged reports — and the -checkpoint journal —
-// are byte-identical to a single-node run of the same campaign.
-// -audit-frac re-executes a deterministic fraction of fabric results on
-// a different executor: a divergence convicts the origin worker,
-// quarantines it, and re-runs every result of its that the audit had
-// not already confirmed (see DESIGN.md §15).
-//
-// -cache memoizes finished trials in a content-addressed result cache
-// file (DESIGN.md §16). Trial keys carry the full fault/wear/recovery
-// model, so a cache warmed under one strike rate or recovery policy is
-// strictly bypassed — never wrongly served — under another; keys omit
-// the campaign size, so a 2-trial warmup serves the first 2 trials of
-// a later 8-trial campaign.
+// Cache keys carry the full fault/wear/recovery model, so a cache
+// warmed under one strike rate or recovery policy is strictly bypassed
+// — never wrongly served — under another; keys omit the campaign size,
+// so a 2-trial warmup serves the first 2 trials of a later 8-trial
+// campaign.
 //
 // -lanes controls the bit-parallel packed engine (internal/simd): 0
 // (the default) packs up to 64 trials per trace pass, 1 forces the
@@ -73,17 +59,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/cli"
 	"ftspm/internal/core"
 	"ftspm/internal/experiments"
-	"ftspm/internal/fabric"
 	"ftspm/internal/faults"
-	"ftspm/internal/fabric/wire"
 	"ftspm/internal/report"
 	"ftspm/internal/resultcache"
 	"ftspm/internal/sim"
@@ -106,70 +88,28 @@ func main() {
 // by the lane width so the packed engine's speedup over the scalar
 // simulator is tracked across PRs.
 type soakMeasurement struct {
-	Benchmark  string  `json:"benchmark"`
-	Lanes      int     `json:"lanes"`
-	Trials     int     `json:"trials"`
-	Scale      float64 `json:"scale"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	WallMS     float64 `json:"wall_ms"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Allocs     uint64  `json:"allocs"`
+	Benchmark string  `json:"benchmark"`
+	Lanes     int     `json:"lanes"`
+	Trials    int     `json:"trials"`
+	Scale     float64 `json:"scale"`
+	cli.Measurement
 	// Cache carries the result-cache counters when -cache was in play,
 	// so warm and cold runs are distinguishable in the perf history.
 	Cache *resultcache.Stats `json:"cache,omitempty"`
 }
 
-// appendSoakMeasurement appends one JSON line describing the campaign
-// that just ran (allocation deltas are process-wide, so run with a
-// quiet process for clean numbers). The record is fsynced before close.
-func appendSoakMeasurement(path string, opts experiments.SoakOptions, wall time.Duration, before runtime.MemStats, rc *resultcache.Cache) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	m := soakMeasurement{
-		Benchmark:  "RunSoakCampaign",
-		Lanes:      opts.Lanes,
-		Trials:     opts.Trials,
-		Scale:      opts.Scale,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		WallMS:     float64(wall.Microseconds()) / 1e3,
-		AllocBytes: after.TotalAlloc - before.TotalAlloc,
-		Allocs:     after.Mallocs - before.Mallocs,
-	}
-	if rc != nil {
-		cs := rc.Stats()
-		m.Cache = &cs
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := json.NewEncoder(f).Encode(m); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 func parseStructures(s string) ([]core.Structure, error) {
 	var out []core.Structure
 	for _, name := range strings.Split(s, ",") {
-		switch strings.ToLower(strings.TrimSpace(name)) {
-		case "ftspm":
-			out = append(out, core.StructFTSPM)
-		case "sram", "pure-sram":
-			out = append(out, core.StructPureSRAM)
-		case "stt", "stt-ram", "pure-stt":
-			out = append(out, core.StructPureSTT)
-		case "dmr", "duplication":
-			out = append(out, core.StructDMR)
-		case "all":
+		if strings.EqualFold(strings.TrimSpace(name), "all") {
 			out = append(out, core.AllStructures()...)
-		default:
+			continue
+		}
+		st, err := core.ParseStructure(name)
+		if err != nil {
 			return nil, campaign.Usagef("unknown structure %q (ftspm, sram, stt, dmr, all)", name)
 		}
+		out = append(out, st)
 	}
 	return out, nil
 }
@@ -198,6 +138,10 @@ func parsePolicy(s string) (spm.DUEPolicy, error) {
 	}
 }
 
+// flagsHook, when set by a test, sees the fully registered flag set
+// before parsing.
+var flagsHook func(*flag.FlagSet)
+
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ftspm-soak", flag.ContinueOnError)
 	workload := fs.String("workload", workloads.CaseStudyName, "workload name")
@@ -224,19 +168,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	adaptive := fs.Bool("adaptive", false, "arm the adaptive storm defenses (scrub escalation, emergency refresh, bypass)")
 	lanes := fs.Int("lanes", 0, "packed-engine lane width: 0 auto (64), 1 scalar, 2..64 explicit")
 	jsonPath := fs.String("json", "", "also write the reports as JSON to this file")
-	checkpoint := fs.String("checkpoint", "", "journal finished trials to this file (crash-safe campaign)")
-	resume := fs.Bool("resume", false, "skip trials already journaled in -checkpoint")
-	cachePath := fs.String("cache", "", "memoize finished trials in this content-addressed cache file (warm runs skip recomputing)")
-	parallel := fs.Int("parallel", 0, "trial worker pool size, local or per fabric chunk (0: GOMAXPROCS)")
-	workers := fs.String("workers", "", "comma-separated ftspmd worker URLs: distribute the campaign over the fabric")
-	lease := fs.Duration("lease", 0, "fabric heartbeat lease before a silent worker is declared dead (0: 60s)")
-	auditFrac := fs.Float64("audit-frac", 0, "fraction of fabric results to audit by re-execution on a different executor (0 disables)")
-	auditSeed := fs.Int64("audit-seed", 0, "seed for the deterministic audit job selection")
-	retries := fs.Int("retries", 0, "per-trial retries before a trial is recorded failed")
-	jobTimeout := fs.Duration("job-timeout", 0, "per-trial deadline (0: none)")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	perfJSON := fs.String("perfjson", "", "append a campaign wall-clock/allocation measurement to this JSON-lines file")
+	fc := cli.AddCampaignFlags(fs, "trial")
+	perf := cli.AddProfileFlags(fs)
+	if flagsHook != nil {
+		flagsHook(fs)
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -255,57 +191,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if (*stormHot != 0 || *stormThermal != 1) && !*storm {
 		return campaign.Usagef("-storm-* knobs need -storm")
 	}
-	if *auditFrac < 0 || *auditFrac > 1 {
-		return campaign.Usagef("-audit-frac must be a probability in [0, 1] (got %g)", *auditFrac)
-	}
-	if *auditFrac > 0 && *workers == "" {
-		return campaign.Usagef("-audit-frac requires -workers (audits re-execute fabric results)")
-	}
-	cc := experiments.CampaignConfig{
-		Checkpoint: *checkpoint,
-		Resume:     *resume,
-		Workers:    *parallel,
-		JobTimeout: *jobTimeout,
-		Retries:    *retries,
-	}
-	if err := cc.Validate(); err != nil {
+	if err := fc.Open(); err != nil {
 		return err
 	}
-	var rc *resultcache.Cache
-	if *cachePath != "" {
-		var err error
-		rc, err = resultcache.Open(resultcache.Config{Path: *cachePath, Fingerprint: wire.Fingerprint()})
-		if err != nil {
-			return fmt.Errorf("cache: %w", err)
-		}
-		defer rc.Close()
-		cc.Cache = rc
+	defer fc.Close()
+	stopProfile, err := perf.Start()
+	if err != nil {
+		return err
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-soak: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the retained-heap picture
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ftspm-soak: memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 	structs, err := parseStructures(*structures)
 	if err != nil {
 		return err
@@ -373,55 +267,19 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			*workload, *trials, *scale, *strike, tgt, mode)
 	}
 
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	var reports []*experiments.SoakReport
-	var status *experiments.CampaignStatus
-	var runErr error
-	if *workers != "" {
-		reports, status, runErr = fabric.RunSoak(ctx, fabric.Config{
-			Workers:    fabric.ParseWorkers(*workers),
-			Parallel:   *parallel,
-			Lease:      *lease,
-			Retries:    *retries,
-			JobTimeout: *jobTimeout,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-			AuditFrac:  *auditFrac,
-			AuditSeed:  *auditSeed,
-			Cache:      rc,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "ftspm-soak: "+format+"\n", args...)
-			},
-		}, opts, structs)
-	} else {
-		reports, status, runErr = experiments.RunSoakCampaign(ctx, opts, structs, cc)
-	}
-	wall := time.Since(start)
+	perf.Mark()
+	reports, status, runErr := experiments.RunSoakOn(ctx, opts, structs, fc.Run)
 	if reports == nil {
 		return runErr // campaign setup failure (checkpoint, flags)
 	}
-	if *perfJSON != "" && runErr == nil {
-		if err := appendSoakMeasurement(*perfJSON, opts, wall, before, rc); err != nil {
+	if perf.PerfJSON != "" && runErr == nil {
+		rec := soakMeasurement{Benchmark: "RunSoakCampaign", Lanes: opts.Lanes, Trials: opts.Trials,
+			Scale: opts.Scale, Measurement: perf.Measure(), Cache: fc.CacheStats()}
+		if err := perf.Append(rec); err != nil {
 			return err
 		}
 	}
-	if rc != nil {
-		cs := rc.Stats()
-		fmt.Fprintf(out, "result cache: %d hits, %d misses, %d bypasses (%d entries)\n",
-			cs.Hits, cs.Misses, cs.Bypasses, cs.Entries)
-	}
-	if status.Resumed > 0 {
-		fmt.Fprintf(out, "resumed %d finished trials from %s\n", status.Resumed, *checkpoint)
-	}
-	for _, f := range status.Failures {
-		fmt.Fprintf(out, "trial %s failed after %d attempt(s): %s\n", f.ID, f.Attempts, f.Error)
-		if f.Stack != "" {
-			fmt.Fprintf(out, "%s\n", f.Stack)
-		}
-	}
-	fabric.PrintAuditSummary(out, status)
+	fc.PrintSummary(out, status)
 
 	t := report.New("\nSoak campaign",
 		"Structure", "Strikes", "Recovered/strike", "DUE/strike", "SDC/strike",

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -46,6 +52,21 @@ func TestRunSoakEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunSoakCanonicalStructureNames feeds back the structure names the
+// reports print.
+func TestRunSoakCanonicalStructureNames(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(context.Background(), []string{"-structures", "DMR-SRAM,pure-STT-RAM",
+		"-trials", "1", "-scale", "0.02"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"DMR-SRAM", "pure-STT-RAM"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("missing %q in output:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestRunSoakFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-structures", "warp-core"},
@@ -67,6 +88,12 @@ func TestRunSoakUsageErrors(t *testing.T) {
 		{"-scale", "-1"},
 		{"-strike", "1.5"},
 		{"-retries", "-1"},
+		{"-job-timeout", "-1s"},
+		{"-audit-frac", "1.5"},
+		{"-audit-frac", "0.1"}, // audits need -workers
+		{"-parallel", "-1"},
+		{"-lease", "-1s"},
+		{"-structures", "warp-core"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})
@@ -169,5 +196,99 @@ func TestRunSoakWarmCache(t *testing.T) {
 	}
 	if !bytes.Equal(cb, wb) {
 		t.Fatalf("warm reports diverge from cold:\n got %s\nwant %s", wb, cb)
+	}
+}
+
+// TestFlagSurface pins every flag's name, type and default, so moving
+// flags between packages cannot silently change the command line.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"adaptive bool false",
+		"audit-frac float64 0",
+		"audit-seed int64 0",
+		"cache string ",
+		"checkpoint string ",
+		"cpuprofile string ",
+		"job-timeout time.Duration 0s",
+		"json string ",
+		"lanes int 0",
+		"lease time.Duration 0s",
+		"memprofile string ",
+		"no-recovery bool false",
+		"parallel int 0",
+		"perfjson string ",
+		"policy string rollback",
+		"resume bool false",
+		"retries int 0",
+		"scale float64 0.05",
+		"scrub uint64 4096",
+		"seed int64 1",
+		"storm bool false",
+		"storm-calm float64 0.001",
+		"storm-calm-dwell float64 4000",
+		"storm-dwell float64 400",
+		"storm-hot float64 0",
+		"storm-hot-blocks int 4",
+		"storm-intensity float64 0.2",
+		"storm-span int 2",
+		"storm-thermal float64 1",
+		"strike float64 0.01",
+		"structures string ftspm,sram,stt",
+		"target string data",
+		"trials int 8",
+		"wear-fail float64 0",
+		"wear-stuck float64 0",
+		"workers string ",
+		"workload string casestudy",
+	}
+	var got []string
+	flagsHook = func(fs *flag.FlagSet) {
+		fs.SetOutput(io.Discard)
+		fs.VisitAll(func(f *flag.Flag) {
+			got = append(got, fmt.Sprintf("%s %T %s", f.Name, f.Value.(flag.Getter).Get(), f.DefValue))
+		})
+	}
+	defer func() { flagsHook = nil }()
+	if err := run(context.Background(), []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flag surface changed:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRunSoakPerfArtifacts drives the profiling flags: both profiles
+// are written and -perfjson appends one line with the record's field
+// names.
+func TestRunSoakPerfArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	perf := filepath.Join(dir, "perf.jsonl")
+	cpu := filepath.Join(dir, "cpu.pprof")
+	mem := filepath.Join(dir, "mem.pprof")
+	if err := run(context.Background(), []string{"-structures", "ftspm", "-trials", "2", "-scale", "0.02",
+		"-perfjson", perf, "-cpuprofile", cpu, "-memprofile", mem}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty: %v", p, err)
+		}
+	}
+	data, err := os.ReadFile(perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("bad perfjson line %q: %v", data, err)
+	}
+	var keys []string
+	for k := range rec {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"alloc_bytes", "allocs", "benchmark", "gomaxprocs", "lanes", "scale", "trials", "wall_ms"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("perfjson fields = %v, want %v", keys, want)
 	}
 }

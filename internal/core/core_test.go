@@ -371,3 +371,45 @@ func TestCostModelOverheads(t *testing.T) {
 		t.Errorf("ECC perf overhead = %v, want ~1.0", perf)
 	}
 }
+
+func TestParseStructure(t *testing.T) {
+	cases := map[string]Structure{
+		"ftspm": StructFTSPM, "FTSPM": StructFTSPM,
+		"sram": StructPureSRAM, "pure-sram": StructPureSRAM, "pure-SRAM": StructPureSRAM,
+		"stt": StructPureSTT, "stt-ram": StructPureSTT, "pure-stt": StructPureSTT,
+		"dmr": StructDMR, "duplication": StructDMR, " sram ": StructPureSRAM,
+	}
+	// Every canonical name the reports print parses back.
+	for _, s := range AllStructures() {
+		cases[s.String()] = s
+	}
+	for name, want := range cases {
+		got, err := ParseStructure(name)
+		if err != nil || got != want {
+			t.Errorf("ParseStructure(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"quantum", "dram", "all", ""} {
+		if _, err := ParseStructure(bad); !errors.Is(err, ErrUnknownStructure) {
+			t.Errorf("ParseStructure(%q): %v, want ErrUnknownStructure", bad, err)
+		}
+	}
+}
+
+func TestParsePriority(t *testing.T) {
+	cases := map[string]Priority{
+		"reliability": PriorityReliability,
+		"performance": PriorityPerformance,
+		"power":       PriorityPower,
+		"Endurance":   PriorityEndurance,
+	}
+	for in, want := range cases {
+		got, err := ParsePriority(in)
+		if err != nil || got != want {
+			t.Errorf("ParsePriority(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParsePriority("speed"); !errors.Is(err, ErrBadPriority) {
+		t.Errorf("ParsePriority(speed): %v, want ErrBadPriority", err)
+	}
+}

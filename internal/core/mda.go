@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"ftspm/internal/memtech"
 	"ftspm/internal/profile"
@@ -45,6 +46,17 @@ func (p Priority) String() string {
 	default:
 		return fmt.Sprintf("Priority(%d)", int(p))
 	}
+}
+
+// ParsePriority resolves a String() name of a priority,
+// case-insensitively.
+func ParsePriority(name string) (Priority, error) {
+	for p := PriorityReliability; p <= PriorityEndurance; p++ {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("%w: %q (reliability, performance, power, endurance)", ErrBadPriority, name)
 }
 
 // Valid reports whether p is a known priority.

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ftspm/internal/memtech"
 	"ftspm/internal/sim"
@@ -50,6 +51,24 @@ func (s Structure) String() string {
 	}
 }
 
+// ParseStructure resolves a structure name, case-insensitively: the
+// canonical String() names and the short aliases the commands and the
+// ftspmd API accept ("ftspm", "sram", "stt", "dmr").
+func ParseStructure(name string) (Structure, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "ftspm":
+		return StructFTSPM, nil
+	case "sram", "pure-sram":
+		return StructPureSRAM, nil
+	case "stt", "stt-ram", "pure-stt", "pure-stt-ram":
+		return StructPureSTT, nil
+	case "dmr", "duplication", "dmr-sram":
+		return StructDMR, nil
+	default:
+		return 0, fmt.Errorf("%w: %q (ftspm, sram, stt, dmr)", ErrUnknownStructure, name)
+	}
+}
+
 // Valid reports whether s is a known structure.
 func (s Structure) Valid() bool {
 	switch s {
@@ -87,7 +106,8 @@ type Spec struct {
 	CodeKind spm.RegionKind
 }
 
-// ErrUnknownStructure is returned for invalid Structure values.
+// ErrUnknownStructure is returned for invalid Structure values and
+// unknown structure names.
 var ErrUnknownStructure = errors.New("core: unknown structure")
 
 // NewSpec returns the Table IV geometry of the structure.

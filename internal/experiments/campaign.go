@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"encoding/json"
 	"time"
 
 	"ftspm/internal/campaign"
@@ -62,6 +64,27 @@ func (c CampaignConfig) Validate() error {
 		return campaign.Usagef("job timeout must be >= 0 (got %v)", c.JobTimeout)
 	}
 	return nil
+}
+
+// Executor runs every job of a campaign source and returns the raw
+// report: CampaignConfig.RunLocal in process, or fabric.Run, bound to
+// its Config, across ftspmd workers.
+type Executor func(ctx context.Context, src *JobSource) (*campaign.Report[json.RawMessage], error)
+
+// RunLocal is the in-process Executor: src's jobs run on the crash-safe
+// campaign runner configured by c, consulting c.Cache first.
+func (c CampaignConfig) RunLocal(ctx context.Context, src *JobSource) (*campaign.Report[json.RawMessage], error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if err := src.UseCache(c.Cache); err != nil {
+		return nil, err
+	}
+	jobs, err := src.Jobs(src.IDs)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.Run(ctx, c.runnerConfig(src.Hash), jobs)
 }
 
 func (c CampaignConfig) runnerConfig(hash string) campaign.Config {

@@ -441,25 +441,22 @@ func soakConfigHash(opts SoakOptions, structures []core.Structure) (string, erro
 // campaign.ErrIncomplete.
 func RunSoakCampaign(ctx context.Context, base SoakOptions, structures []core.Structure,
 	cc CampaignConfig) ([]*SoakReport, *CampaignStatus, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, nil, err
-	}
+	return RunSoakOn(ctx, base, structures, cc.RunLocal)
+}
+
+// RunSoakOn runs the soak's job source on exec and assembles the
+// per-structure reports, as RunSweepOn does for the sweep.
+func RunSoakOn(ctx context.Context, base SoakOptions, structures []core.Structure,
+	exec Executor) ([]*SoakReport, *CampaignStatus, error) {
 	src, err := SoakSource(base, structures)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := src.UseCache(cc.Cache); err != nil {
-		return nil, nil, err
-	}
-	jobs, err := src.Jobs(src.IDs)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, runErr := campaign.Run(ctx, cc.runnerConfig(src.Hash), jobs)
-	if rep == nil {
+	raw, runErr := exec(ctx, src)
+	if raw == nil {
 		return nil, nil, runErr
 	}
-	reports, status, err := src.AssembleSoak(rep)
+	reports, status, err := src.AssembleSoak(raw)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -114,25 +114,22 @@ func sweepConfigHash(opts Options, suite []workloads.Workload, structures []core
 // reported pending, and the error wraps campaign.ErrIncomplete — the
 // returned Sweep then holds every salvaged outcome.
 func RunSweepCampaign(ctx context.Context, opts Options, cc CampaignConfig) (*Sweep, *CampaignStatus, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, nil, err
-	}
+	return RunSweepOn(ctx, opts, cc.RunLocal)
+}
+
+// RunSweepOn runs the sweep's job source on exec and assembles the
+// sweep; the local runner and the distributed fabric both go through
+// it, so their reports are byte-identical.
+func RunSweepOn(ctx context.Context, opts Options, exec Executor) (*Sweep, *CampaignStatus, error) {
 	src, err := SweepSource(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := src.UseCache(cc.Cache); err != nil {
-		return nil, nil, err
-	}
-	jobs, err := src.Jobs(src.IDs)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, runErr := campaign.Run(ctx, cc.runnerConfig(src.Hash), jobs)
-	if rep == nil {
+	raw, runErr := exec(ctx, src)
+	if raw == nil {
 		return nil, nil, runErr
 	}
-	sw, status, err := src.AssembleSweep(rep)
+	sw, status, err := src.AssembleSweep(raw)
 	if err != nil {
 		return nil, nil, err
 	}

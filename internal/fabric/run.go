@@ -2,8 +2,10 @@ package fabric
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 
+	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 )
@@ -30,35 +32,18 @@ func ParseWorkers(s string) []string {
 // experiments.RunSweepCampaign does — assembled by the same source, so
 // a distributed sweep is byte-identical to a single-node run.
 func RunSweep(ctx context.Context, cfg Config, opts experiments.Options) (*experiments.Sweep, *experiments.CampaignStatus, error) {
-	src, err := experiments.SweepSource(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	raw, runErr := Run(ctx, cfg, src)
-	if raw == nil {
-		return nil, nil, runErr
-	}
-	sw, st, err := src.AssembleSweep(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sw, st, runErr
+	return experiments.RunSweepOn(ctx, opts, executor(cfg))
 }
 
 // RunSoak executes a soak campaign over the listed structures across
 // the fabric, mirroring experiments.RunSoakCampaign.
 func RunSoak(ctx context.Context, cfg Config, base experiments.SoakOptions, structures []core.Structure) ([]*experiments.SoakReport, *experiments.CampaignStatus, error) {
-	src, err := experiments.SoakSource(base, structures)
-	if err != nil {
-		return nil, nil, err
+	return experiments.RunSoakOn(ctx, base, structures, executor(cfg))
+}
+
+// executor binds Run to cfg.
+func executor(cfg Config) experiments.Executor {
+	return func(ctx context.Context, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
+		return Run(ctx, cfg, src)
 	}
-	raw, runErr := Run(ctx, cfg, src)
-	if raw == nil {
-		return nil, nil, runErr
-	}
-	reports, st, err := src.AssembleSoak(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	return reports, st, runErr
 }

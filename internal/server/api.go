@@ -26,11 +26,8 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
-	"strings"
 	"time"
 
-	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 	"ftspm/internal/faults"
 	"ftspm/internal/resultcache"
@@ -226,24 +223,6 @@ type ClassStatus struct {
 	Limit    int    `json:"limit"`
 	QueueCap int    `json:"queue_cap"`
 	Shed     uint64 `json:"shed"`
-}
-
-// ParseStructure resolves the wire names of the evaluated structures:
-// the short aliases used by the CLIs ("ftspm", "sram", "stt", "dmr")
-// and the canonical Structure.String() names.
-func ParseStructure(name string) (core.Structure, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "ftspm":
-		return core.StructFTSPM, nil
-	case "sram", "pure-sram":
-		return core.StructPureSRAM, nil
-	case "stt", "stt-ram", "pure-stt", "pure-stt-ram":
-		return core.StructPureSTT, nil
-	case "dmr", "duplication", "dmr-sram":
-		return core.StructDMR, nil
-	default:
-		return 0, fmt.Errorf("%w: %q (ftspm, sram, stt, dmr)", core.ErrUnknownStructure, name)
-	}
 }
 
 // fmtTime renders a timestamp for the wire ("" for the zero time).

@@ -71,7 +71,7 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	}
 	structures := make([]core.Structure, 0, len(req.Structures))
 	for _, name := range req.Structures {
-		st, err := ParseStructure(name)
+		st, err := core.ParseStructure(name)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error(), 0)
 			return

@@ -293,7 +293,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "workload is required", 0)
 		return
 	}
-	structure, err := ParseStructure(req.Structure)
+	structure, err := core.ParseStructure(req.Structure)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
@@ -415,7 +415,7 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 	}
 	structures := make([]core.Structure, 0, len(req.Structures))
 	for _, name := range req.Structures {
-		st, err := ParseStructure(name)
+		st, err := core.ParseStructure(name)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error(), 0)
 			return

@@ -358,6 +358,38 @@ func TestEvaluateValidation(t *testing.T) {
 	}
 }
 
+// TestParseStructure checks that /v1/evaluate resolves every accepted
+// structure spelling to the right core.Structure before evaluating, and
+// that an unknown name is a 400 carrying core.ErrUnknownStructure's text.
+func TestParseStructure(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var got core.Structure
+	s.evalFn = func(_ context.Context, req EvaluateRequest, st core.Structure) (*EvaluateResponse, error) {
+		got = st
+		return &EvaluateResponse{Run: experiments.RunSummary{Workload: req.Workload}}, nil
+	}
+	cases := map[string]core.Structure{
+		"ftspm":     core.StructFTSPM,
+		"FTSPM":     core.StructFTSPM,
+		"sram":      core.StructPureSRAM,
+		"pure-SRAM": core.StructPureSRAM,
+		"stt":       core.StructPureSTT,
+		"dmr":       core.StructDMR,
+	}
+	for name, want := range cases {
+		got = -1
+		resp, body := postJSON(t, ts.URL+"/v1/evaluate", fmt.Sprintf(`{"workload":"w","structure":%q}`, name))
+		if resp.StatusCode != http.StatusOK || got != want {
+			t.Errorf("structure %q: code %d, resolved %v; want 200, %v\n%s", name, resp.StatusCode, got, want, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/evaluate", `{"workload":"w","structure":"quantum"}`)
+	if resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), core.ErrUnknownStructure.Error()) {
+		t.Errorf("structure quantum: code %d, body %s; want 400 naming ErrUnknownStructure", resp.StatusCode, body)
+	}
+}
+
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	gatedEval(s)
@@ -432,25 +464,5 @@ func TestResolveCheckpoint(t *testing.T) {
 	}
 	if got, err := resolveCheckpoint("", "fallback"); err != nil || got != "fallback" {
 		t.Errorf("empty checkpoint: got %q, %v; want fallback", got, err)
-	}
-}
-
-func TestParseStructure(t *testing.T) {
-	cases := map[string]core.Structure{
-		"ftspm":     core.StructFTSPM,
-		"FTSPM":     core.StructFTSPM,
-		"sram":      core.StructPureSRAM,
-		"pure-SRAM": core.StructPureSRAM,
-		"stt":       core.StructPureSTT,
-		"dmr":       core.StructDMR,
-	}
-	for name, want := range cases {
-		got, err := ParseStructure(name)
-		if err != nil || got != want {
-			t.Errorf("ParseStructure(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseStructure("quantum"); !errors.Is(err, core.ErrUnknownStructure) {
-		t.Errorf("ParseStructure(quantum): %v, want ErrUnknownStructure", err)
 	}
 }
