@@ -176,6 +176,24 @@ func TestSoakWearFallsBackToScalar(t *testing.T) {
 	}
 }
 
+// TestSoakWearFallbackCounted pins the wear half of the fallback
+// counter: each structure's packed path declines a wear model once, no
+// matter how many of its trials run, and a forced-scalar campaign
+// (Lanes 1) declines nothing.
+func TestSoakWearFallbackCounted(t *testing.T) {
+	opts := SoakOptions{
+		Trials: 3, Scale: 0.02, Seed: 7, StrikesPerAccess: 0.01,
+		Wear: &spm.WearConfig{WriteFailProb: 0.05, MaxWriteRetries: 2, StuckAtProb: 0.02},
+	}
+	structures := []core.Structure{core.StructFTSPM, core.StructPureSRAM, core.StructPureSTT}
+	before := ScalarFallbackCount()
+	runSoakBothPaths(t, opts, structures)
+	if got := ScalarFallbackCount() - before; got != uint64(len(structures)) {
+		t.Errorf("wear soak over %d structures counted %d scalar fallbacks, want %d",
+			len(structures), got, len(structures))
+	}
+}
+
 // TestLaneWidth pins the knob resolution: auto packs fully, explicit
 // widths clamp to the engine capacity, non-positive values are scalar.
 func TestLaneWidth(t *testing.T) {

@@ -258,8 +258,9 @@ type soakStructShared struct {
 // the first job that lands in it and cached for its lane-mates. Lazy
 // batching matters in distributed runs: a worker assigned a slice of a
 // structure's trials computes only the batches covering its slice, not
-// the whole campaign. A configuration the engine rejects flips the
-// state off, and every job falls back to the scalar path.
+// the whole campaign. A configuration the engine rejects (or a wear
+// model, which it has no lanes for) flips the state off, and every job
+// falls back to the scalar path.
 type packedState struct {
 	mu      sync.Mutex
 	off     bool
@@ -278,12 +279,15 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 	if ps.off {
 		return soakTrialResult{}, false, nil
 	}
+	if opts.Wear != nil {
+		// A wear model forks per-trial control flow, which lanes
+		// sharing one trace pass cannot follow.
+		return ps.decline()
+	}
 	if ps.eng == nil {
 		eng, err := buildPackedEngine(ctx, w, spec, place, events, opts)
 		if errors.Is(err, simd.ErrUnsupported) {
-			ps.off = true
-			scalarFallbacks.Add(1)
-			return soakTrialResult{}, false, nil
+			return ps.decline()
 		}
 		if err != nil {
 			return soakTrialResult{}, false, err
@@ -297,9 +301,7 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 		var err error
 		res, err = packedBatch(ctx, ps.eng, opts, b*width, width)
 		if errors.Is(err, simd.ErrUnsupported) {
-			ps.off = true
-			scalarFallbacks.Add(1)
-			return soakTrialResult{}, false, nil
+			return ps.decline()
 		}
 		if err != nil {
 			return soakTrialResult{}, false, err
@@ -307,6 +309,14 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 		ps.batches[b] = res
 	}
 	return res[t-b*width], true, nil
+}
+
+// decline latches the packed path off for the structure and counts the
+// one scalar fallback. Callers hold ps.mu and return its result.
+func (ps *packedState) decline() (soakTrialResult, bool, error) {
+	ps.off = true
+	scalarFallbacks.Add(1)
+	return soakTrialResult{}, false, nil
 }
 
 // buildPackedEngine records the instrumented fault-free pass and builds
@@ -470,10 +480,10 @@ func runSoakJobBody(ctx context.Context, sh *soakShared, ss *soakStructShared,
 	if err := ss.ensure(sh); err != nil {
 		return soakTrialResult{}, err
 	}
-	// Packed fast path: with no wear model, up to 64 trials advance
-	// through one trace pass. Unsupported configurations fall back to
-	// the scalar simulator.
-	if width := laneWidth(opts.Lanes); width > 1 && opts.Wear == nil {
+	// Packed fast path: up to 64 trials advance through one trace
+	// pass. Wear models and unsupported configurations fall back to the
+	// scalar simulator.
+	if width := laneWidth(opts.Lanes); width > 1 {
 		res, ok, err := ss.packed.trial(ctx, w, ss.spec, ss.place, sh.events, opts, t, width)
 		if err != nil {
 			return soakTrialResult{}, fmt.Errorf("experiments: soak trial %d: %w", t, err)

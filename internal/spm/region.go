@@ -8,6 +8,7 @@ package spm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"ftspm/internal/ecc"
@@ -168,6 +169,15 @@ type Region struct {
 	// the corresponding val bits on every store.
 	stuckMask []ecc.Bits
 	stuckVal  []ecc.Bits
+	// suspect is a bitset of the words whose codeword may differ from
+	// codec.Encode(golden[w]); nSuspect counts its set bits (nil until
+	// the first strike, stuck cell or failed write). A word not marked
+	// holds exactly that codeword, so it decodes Clean to golden[w]:
+	// reads copy golden for it, and scrub and audit skip its decode.
+	// The modelled hardware still decodes every word, so latency,
+	// energy and stats are charged unchanged (DESIGN.md §11).
+	suspect  []uint64
+	nSuspect int
 	// retired marks words the controller has removed from service
 	// after recurring faults (nil until the first retirement). Retired
 	// words are skipped by scrub and audit: they hold dead cells, not
@@ -307,23 +317,12 @@ func (r *Region) ReadChecked(wordIdx, n int) ([]uint32, memtech.Cycles, ReadOutc
 		r.readBuf = make([]uint32, n)
 	}
 	out := r.readBuf[:n]
-	for i := 0; i < n; i++ {
-		w := wordIdx + i
-		data, status := r.codec.Decode(r.words[w])
-		switch status {
-		case ecc.Corrected:
-			r.stats.CorrectedErrors++
-			oc.Corrected++
-			// Correction repairs the stored word too (scrub-on-read);
-			// stuck cells stay stuck.
-			r.store(w, r.codec.Encode(data))
-		case ecc.Detected:
-			r.stats.DetectedErrors++
-			oc.Detected = append(oc.Detected, w)
-		}
-		out[i] = uint32(data.Uint64())
-		if status != ecc.Detected && out[i] != r.golden[w] {
-			r.stats.SilentReads++
+	copy(out, r.golden[wordIdx:wordIdx+n])
+	if r.nSuspect > 0 {
+		for i := range out {
+			if w := wordIdx + i; r.isSuspect(w) {
+				out[i] = r.decodeRead(w, &oc)
+			}
 		}
 	}
 	r.stats.ReadAccesses++
@@ -331,6 +330,30 @@ func (r *Region) ReadChecked(wordIdx, n int) ([]uint32, memtech.Cycles, ReadOutc
 	e := r.bank.AccessEnergy(n*memtech.WordBytes, false)
 	r.stats.Energy += e
 	return out, r.bank.AccessLatency(n*memtech.WordBytes, false), oc, nil
+}
+
+// decodeRead is the read decode of one suspect word: it counts the
+// word's error event into the stats and oc and returns the payload the
+// protection circuit delivers.
+func (r *Region) decodeRead(w int, oc *ReadOutcome) uint32 {
+	data, status := r.codec.Decode(r.words[w])
+	v := uint32(data.Uint64())
+	switch status {
+	case ecc.Corrected:
+		r.stats.CorrectedErrors++
+		oc.Corrected++
+		// Correction repairs the stored word too (scrub-on-read);
+		// stuck cells stay stuck.
+		r.store(w, v)
+	case ecc.Detected:
+		r.stats.DetectedErrors++
+		oc.Detected = append(oc.Detected, w)
+		return v
+	}
+	if v != r.golden[w] {
+		r.stats.SilentReads++
+	}
+	return v
 }
 
 // WriteOutcome reports the write-verify events of one checked write.
@@ -395,6 +418,7 @@ func (r *Region) WriteChecked(wordIdx int, values []uint32) (memtech.Cycles, Wri
 		r.words[w] = stored
 		r.golden[w] = v
 		r.writes[w]++
+		r.setSuspect(w, stored != enc)
 		if stored != enc {
 			oc.Failed = append(oc.Failed, w)
 		}
@@ -413,14 +437,44 @@ func (r *Region) WriteChecked(wordIdx int, values []uint32) (memtech.Cycles, Wri
 	return cycles, oc, nil
 }
 
-// store writes an encoded codeword into the backing array, honouring
-// any permanently-stuck cells. Every store must go through here once a
-// word may hold stuck cells.
-func (r *Region) store(w int, code ecc.Bits) {
+// store writes the codeword of payload v into the backing array,
+// honouring any permanently-stuck cells. Every repair or restore must
+// go through here once a word may hold stuck cells. The word is clean
+// afterwards exactly when v is its golden payload and no stuck cell
+// altered the codeword.
+func (r *Region) store(w int, v uint32) {
+	code := r.codec.Encode(ecc.BitsFromUint64(uint64(v)))
+	stored := code
 	if r.stuckMask != nil {
-		code = faults.ApplyStuckAt(code, r.stuckMask[w], r.stuckVal[w])
+		stored = faults.ApplyStuckAt(code, r.stuckMask[w], r.stuckVal[w])
 	}
-	r.words[w] = code
+	r.words[w] = stored
+	r.setSuspect(w, stored != code || v != r.golden[w])
+}
+
+// isSuspect reports whether word w may differ from the codeword of its
+// golden payload.
+func (r *Region) isSuspect(w int) bool {
+	return r.suspect != nil && r.suspect[w>>6]&(1<<(uint(w)&63)) != 0
+}
+
+// setSuspect marks word w suspect or clean, materializing the bitset
+// on the first mark. Only a store that provably lands
+// codec.Encode(golden[w]) may clear a mark.
+func (r *Region) setSuspect(w int, suspect bool) {
+	bit := uint64(1) << (uint(w) & 63)
+	if suspect {
+		if r.suspect == nil {
+			r.suspect = make([]uint64, (len(r.words)+63)/64)
+		}
+		if r.suspect[w>>6]&bit == 0 {
+			r.suspect[w>>6] |= bit
+			r.nSuspect++
+		}
+	} else if r.nSuspect > 0 && r.suspect[w>>6]&bit != 0 {
+		r.suspect[w>>6] &^= bit
+		r.nSuspect--
+	}
 }
 
 // setStuck freezes one cell of the word at val, materializing the
@@ -433,6 +487,7 @@ func (r *Region) setStuck(w, bit int, val bool) {
 	r.stuckMask[w] = r.stuckMask[w].Set(bit, true)
 	r.stuckVal[w] = r.stuckVal[w].Set(bit, val)
 	r.words[w] = faults.ApplyStuckAt(r.words[w], r.stuckMask[w], r.stuckVal[w])
+	r.setSuspect(w, true)
 }
 
 // EnableWear attaches a write-unreliability model to the region with a
@@ -467,6 +522,7 @@ func (r *Region) ApplyStrikeDelta(wordIdx int, delta uint64) error {
 		return nil
 	}
 	r.words[wordIdx] = r.words[wordIdx].Xor(ecc.BitsFromUint64(delta))
+	r.setSuspect(wordIdx, true)
 	return nil
 }
 
@@ -574,7 +630,7 @@ func (r *Region) RestoreWord(wordIdx int) (memtech.Cycles, error) {
 	if wordIdx < 0 || wordIdx >= len(r.words) {
 		return 0, fmt.Errorf("%w: word %d of %d", ErrOutOfRange, wordIdx, len(r.words))
 	}
-	r.store(wordIdx, r.codec.Encode(ecc.BitsFromUint64(uint64(r.golden[wordIdx]))))
+	r.store(wordIdx, r.golden[wordIdx])
 	r.writes[wordIdx]++
 	r.stats.WriteAccesses++
 	r.stats.WordsWritten++
@@ -594,6 +650,7 @@ func (r *Region) InjectStrike(rng *rand.Rand, wordIdx, multiplicity int) (bool, 
 		return false, nil
 	}
 	r.words[wordIdx] = faults.InjectCluster(rng, r.words[wordIdx], r.codec.CodeBits(), multiplicity)
+	r.setSuspect(wordIdx, true)
 	return true, nil
 }
 
@@ -612,29 +669,34 @@ func (r *Region) Scrub() (repaired, uncorrectable int, cycles memtech.Cycles) {
 // ScrubWords is Scrub surfacing the absolute word indices of the
 // uncorrectable words it found, so the controller can recover them
 // (DRAM re-fetch for clean blocks, checkpoint restore otherwise).
-// Retired words are skipped: their cells are out of service.
+// Retired words are skipped: their cells are out of service. Only
+// suspect words are decoded; a clean word would decode Clean and need
+// nothing, though its read is still charged.
 func (r *Region) ScrubWords() (repaired int, detected []int, cycles memtech.Cycles) {
 	cycles = r.bank.AccessLatency(len(r.words)*memtech.WordBytes, false)
 	r.stats.ReadAccesses++
 	r.stats.WordsRead += uint64(len(r.words))
 	r.stats.Energy += r.bank.AccessEnergy(len(r.words)*memtech.WordBytes, false)
-	for i, w := range r.words {
-		if r.IsRetired(i) {
-			continue
-		}
-		data, status := r.codec.Decode(w)
-		switch status {
-		case ecc.Corrected:
-			r.store(i, r.codec.Encode(data))
-			r.writes[i]++
-			repaired++
-			r.stats.CorrectedErrors++
-			cycles += r.bank.AccessLatency(memtech.WordBytes, true)
-			r.stats.Energy += r.bank.AccessEnergy(memtech.WordBytes, true)
-			r.stats.WordsWritten++
-		case ecc.Detected:
-			detected = append(detected, i)
-			r.stats.DetectedErrors++
+	for k, set := range r.suspect {
+		for ; set != 0; set &= set - 1 {
+			i := k<<6 + bits.TrailingZeros64(set)
+			if r.IsRetired(i) {
+				continue
+			}
+			data, status := r.codec.Decode(r.words[i])
+			switch status {
+			case ecc.Corrected:
+				r.store(i, uint32(data.Uint64()))
+				r.writes[i]++
+				repaired++
+				r.stats.CorrectedErrors++
+				cycles += r.bank.AccessLatency(memtech.WordBytes, true)
+				r.stats.Energy += r.bank.AccessEnergy(memtech.WordBytes, true)
+				r.stats.WordsWritten++
+			case ecc.Detected:
+				detected = append(detected, i)
+				r.stats.DetectedErrors++
+			}
 		}
 	}
 	return repaired, detected, cycles
@@ -642,7 +704,8 @@ func (r *Region) ScrubWords() (repaired int, detected []int, cycles memtech.Cycl
 
 // Audit decodes every word and classifies it against the last written
 // payload, without charging energy or disturbing the stats: the
-// fault-injection campaign's ground-truth check.
+// fault-injection campaign's ground-truth check. Clean words are
+// Benign without a decode.
 func (r *Region) Audit() faults.Tally {
 	var t faults.Tally
 	for i, w := range r.words {
@@ -650,6 +713,10 @@ func (r *Region) Audit() faults.Tally {
 			// Retired words hold dead cells, not live data; counting
 			// them would charge degradation twice (it already shows up
 			// as RetiredWords in the recovery stats).
+			continue
+		}
+		if !r.isSuspect(i) {
+			t.Benign++
 			continue
 		}
 		data, status := r.codec.Decode(w)

@@ -106,18 +106,15 @@ func (s spec) buildProgram() *program.Program {
 
 // generate materializes the spec's trace at the given scale. Scale
 // multiplies the activation count; 1.0 is the reference length. The
-// slice is produced by draining the streaming generator, so the two
-// paths emit identical event sequences by construction.
+// streaming generator runs its activations straight into one output
+// slice presized from the segment activation counts, so the two paths
+// emit identical event sequences by construction.
 func (s spec) generate(p *program.Program, scale float64) []trace.Event {
 	st := s.stream(p, scale)
-	var out []trace.Event
-	for {
-		e, ok := st.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
+	st.g.events = make([]trace.Event, 0, st.sizeHint())
+	for st.advance() {
 	}
+	return st.g.events
 }
 
 // rpattern, rcodeUse, and rsegment are spec shapes with the block names
@@ -206,21 +203,70 @@ var _ trace.Stream = (*genStream)(nil)
 // Next implements trace.Stream.
 func (st *genStream) Next() (trace.Event, bool) {
 	for st.pos >= len(st.g.events) {
-		if st.segIdx >= len(st.segments) {
-			return trace.Event{}, false
-		}
 		st.g.events = st.g.events[:0]
 		st.pos = 0
-		st.g.runActivation(st.segments[st.segIdx], st.actIdx)
-		st.actIdx++
-		if st.actIdx >= st.counts[st.segIdx] {
-			st.segIdx++
-			st.actIdx = 0
+		if !st.advance() {
+			return trace.Event{}, false
 		}
 	}
 	e := st.g.events[st.pos]
 	st.pos++
 	return e, true
+}
+
+// advance appends the next activation's events to the generator's
+// buffer, reporting false once every segment is exhausted.
+func (st *genStream) advance() bool {
+	if st.segIdx >= len(st.segments) {
+		return false
+	}
+	st.g.runActivation(st.segments[st.segIdx], st.actIdx)
+	st.actIdx++
+	if st.actIdx >= st.counts[st.segIdx] {
+		st.segIdx++
+		st.actIdx = 0
+	}
+	return true
+}
+
+// sizeHint estimates the trace length of a fresh stream in events:
+// each segment's activation count times its expected events per
+// activation (call frame, fetch bursts, data run), plus a small margin
+// so the random run lengths rarely outgrow the estimate.
+func (st *genStream) sizeHint() int {
+	total := 0.0
+	for i, rs := range st.segments {
+		seg := rs.seg
+		var per float64
+		if len(rs.patterns) > 0 {
+			var w, run float64
+			for _, pt := range rs.patterns {
+				w += pt.weight
+				run += pt.weight * (float64(pt.runLen) + 0.5)
+			}
+			if w > 0 {
+				per = run / w
+			}
+		}
+		if len(rs.code) > 0 {
+			fetches := 1.0 // the entry burst
+			if seg.fetchEvery > 0 {
+				fetches += per / float64(seg.fetchEvery)
+			}
+			per += fetches
+			if seg.callEvery > 0 && st.g.hasStack {
+				var frame float64
+				for _, c := range rs.code {
+					if c.frameBytes > 0 {
+						frame += float64(2 + 2*c.stackTouch)
+					}
+				}
+				per += frame / float64(len(rs.code)) / float64(seg.callEvery)
+			}
+		}
+		total += per * float64(st.counts[i])
+	}
+	return int(total*1.05) + 64
 }
 
 // generator emits trace events for a spec.
