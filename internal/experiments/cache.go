@@ -145,13 +145,6 @@ func (s *JobSource) UseCache(c *resultcache.Cache) error {
 	return nil
 }
 
-// CacheKey returns the cache key of one job ID (valid only after
-// UseCache).
-func (s *JobSource) CacheKey(id string) (resultcache.Key, bool) {
-	k, ok := s.keys[id]
-	return k, ok
-}
-
 // CachedResult consults the cache (both tiers, no compute) for one job
 // and, on a hit, synthesizes the finished result exactly as a fresh
 // first-attempt run would have journaled it. The fabric coordinator
@@ -187,11 +180,6 @@ func (s *JobSource) cachedRun(k resultcache.Key, run func(context.Context) (json
 		})
 		return v, err
 	}
-}
-
-// EvaluateCached is EvaluateCachedContext with a background context.
-func EvaluateCached(c *resultcache.Cache, name string, structure core.Structure, opts Options) (Outcome, bool, error) {
-	return EvaluateCachedContext(context.Background(), c, name, structure, opts)
 }
 
 // EvaluateCachedContext evaluates one workload × structure through the

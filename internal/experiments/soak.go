@@ -220,6 +220,7 @@ type soakShared struct {
 
 func (sh *soakShared) ensure() error {
 	sh.once.Do(func() {
+		setups.Add(1)
 		sh.events = sh.w.TraceEvents(sh.opts.Scale)
 		sh.prof, sh.err = profile.Run(sh.w.Program(), trace.Replay(sh.events))
 		if sh.err != nil {
@@ -382,6 +383,7 @@ func (ss *soakStructShared) ensure(sh *soakShared) error {
 		return err
 	}
 	ss.once.Do(func() {
+		setups.Add(1)
 		ss.spec, ss.err = core.NewSpec(ss.structure)
 		if ss.err != nil {
 			return

@@ -146,6 +146,7 @@ func runSweepJob(ctx context.Context, w workloads.Workload, s core.Structure, sh
 		sweepJobHook(w.Name, s)
 	}
 	sh.once.Do(func() {
+		setups.Add(1)
 		sh.events = w.TraceEvents(opts.Scale)
 		sh.prof, sh.err = profile.Run(w.Program(), trace.Replay(sh.events))
 		if sh.err != nil {

@@ -286,7 +286,7 @@ func Run(ctx context.Context, cfg Config, src *experiments.JobSource) (*campaign
 		cfg:      cfg,
 		src:      src,
 		tmpl:     requestFor(src, cfg),
-		q:        newQueue(todo, cfg.MaxPlacements),
+		q:        newQueue(todo, src.SetupKey, cfg.MaxPlacements),
 		m:        m,
 		chunk:    chunkSize(cfg, len(todo)),
 		fp:       cfg.Fingerprint,
@@ -434,9 +434,11 @@ func (f *fabricRun) workerLoop(ctx context.Context, w *workerRef) {
 	}
 }
 
-// probe checks one worker's /healthz: up means reachable and not
-// draining; busy means its fabric admission queue is full, so placing
-// now would only be shed.
+// probe checks one worker's /healthz in a single attempt: up means
+// reachable and not draining; busy means its fabric admission queue is
+// full, so placing now would only be shed. A failed probe is final;
+// the worker loop re-probes after ProbeInterval, so the all-down
+// transition, and with it local fallback, follows the first failure.
 func (f *fabricRun) probe(ctx context.Context, w *workerRef) (up, busy bool) {
 	pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
 	defer cancel()

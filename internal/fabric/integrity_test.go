@@ -36,7 +36,7 @@ func streamWorker(t *testing.T, lines []wire.Line) (*fabricRun, *workerRef) {
 	cfg := Config{Workers: []string{srv.URL}}.withDefaults()
 	f := &fabricRun{
 		cfg:      cfg,
-		q:        newQueue([]string{"good"}, cfg.MaxPlacements),
+		q:        newQueue([]string{"good"}, oneGroup, cfg.MaxPlacements),
 		m:        newMerger(nil, &campaign.Report[json.RawMessage]{}),
 		fp:       cfg.Fingerprint,
 		suspects: make(map[string]bool),
@@ -165,7 +165,7 @@ func TestPlaceAcceptsAttestedResult(t *testing.T) {
 // The queue must not close on remaining==0 while audits are in flight,
 // and reopened (invalidated) jobs must be poppable again.
 func TestQueueAuditHoldsCloseAndReopens(t *testing.T) {
-	q := newQueue([]string{"a"}, 3)
+	q := newQueue([]string{"a"}, oneGroup, 3)
 	if chunk, ok := q.tryPop(4); !ok || len(chunk) != 1 {
 		t.Fatalf("pop: %v ok=%v", chunk, ok)
 	}

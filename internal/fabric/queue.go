@@ -19,6 +19,10 @@ type jobState struct {
 	placements  int
 	done        bool
 	quarantined bool
+	// key is the job's set-up key (experiments.JobSource.SetupKey):
+	// jobs sharing it share one set-up on the worker that runs them
+	// together.
+	key string
 }
 
 type queue struct {
@@ -45,17 +49,30 @@ type queue struct {
 	audits int
 }
 
-func newQueue(ids []string, maxPlacements int) *queue {
+// newQueue queues ids grouped by key: each set-up group sits whole at
+// the position of its first job, so a chunk popped off the head holds
+// as few groups as possible.
+func newQueue(ids []string, key func(id string) string, maxPlacements int) *queue {
 	q := &queue{
-		pending:       append([]string(nil), ids...),
+		pending:       make([]string, 0, len(ids)),
 		st:            make(map[string]*jobState, len(ids)),
 		remaining:     len(ids),
 		maxPlacements: maxPlacements,
 		done:          make(chan struct{}),
 		ready:         make(chan struct{}, 1),
 	}
+	var order []string
+	groups := make(map[string][]string)
 	for _, id := range ids {
-		q.st[id] = &jobState{}
+		k := key(id)
+		q.st[id] = &jobState{key: k}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], id)
+	}
+	for _, k := range order {
+		q.pending = append(q.pending, groups[k]...)
 	}
 	q.cond = sync.NewCond(&q.mu)
 	if len(ids) == 0 {
@@ -118,20 +135,44 @@ func (q *queue) tryPop(max int) ([]string, bool) {
 	return q.popLocked(max), true
 }
 
+// popLocked takes the head job's set-up group (the run of clean
+// pending jobs sharing its key), split only at max, then whole
+// following groups while they fit. A suspect head is taken alone.
 func (q *queue) popLocked(max int) []string {
 	if max < 1 {
 		max = 1
 	}
 	take := 1
 	if q.st[q.pending[0]].placements == 0 {
-		for take < max && take < len(q.pending) && q.st[q.pending[take]].placements == 0 {
-			take++
+		take = q.groupEnd(0, max)
+		for take < max && take < len(q.pending) {
+			end := q.groupEnd(take, max-take+1)
+			if end == take || end-take > max-take {
+				break // a suspect, or a group that does not fit whole
+			}
+			take = end
 		}
 	}
 	chunk := make([]string, take)
 	copy(chunk, q.pending[:take])
 	q.pending = q.pending[take:]
 	return chunk
+}
+
+// groupEnd returns the end of the run of clean pending jobs that starts
+// at i and shares pending[i]'s key, looking at most limit jobs ahead.
+// A suspect at i ends the run at i.
+func (q *queue) groupEnd(i, limit int) int {
+	first := q.st[q.pending[i]]
+	j := i
+	for j < len(q.pending) && j-i < limit {
+		s := q.st[q.pending[j]]
+		if s.placements != 0 || s.key != first.key {
+			break
+		}
+		j++
+	}
+	return j
 }
 
 // ack marks one job durably merged. Idempotent — the merger dedups, so

@@ -2,13 +2,118 @@ package fabric
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// oneGroup puts every job in one set-up group, so chunks fill to the
+// cap in queue order.
+func oneGroup(string) string { return "" }
+
+// byPrefix keys a job "k/n" by k.
+func byPrefix(id string) string {
+	k, _, _ := strings.Cut(id, "/")
+	return k
+}
+
+// popAll pops chunks of up to max until nothing is pending, acking
+// every job.
+func popAll(t *testing.T, q *queue, max int) [][]string {
+	t.Helper()
+	var chunks [][]string
+	for {
+		chunk, ok := q.tryPop(max)
+		if !ok {
+			return chunks
+		}
+		for _, id := range chunk {
+			q.ack(id)
+		}
+		chunks = append(chunks, chunk)
+	}
+}
+
+// A group no larger than the cap is placed whole, in one chunk, even
+// when its jobs are interleaved with other groups' (the sweep lists
+// jobs structure-major, so a workload's jobs are a suite apart).
+func TestQueueNeverSplitsSmallGroup(t *testing.T) {
+	q := newQueue([]string{"x/1", "y/1", "z/1", "x/2", "y/2", "z/2", "x/3", "y/3", "z/3"}, byPrefix, 3)
+	got := popAll(t, q, 4)
+	want := [][]string{{"x/1", "x/2", "x/3"}, {"y/1", "y/2", "y/3"}, {"z/1", "z/2", "z/3"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks = %v, want %v", got, want)
+	}
+}
+
+// After the head group, a chunk takes following groups only whole, and
+// only while they fit under the cap.
+func TestQueuePacksWholeFollowingGroups(t *testing.T) {
+	q := newQueue([]string{"a/1", "a/2", "b/1", "b/2", "c/1", "c/2", "c/3", "d/1"}, byPrefix, 3)
+	got := popAll(t, q, 5)
+	want := [][]string{{"a/1", "a/2", "b/1", "b/2"}, {"c/1", "c/2", "c/3", "d/1"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks = %v, want %v", got, want)
+	}
+}
+
+// A group larger than the cap splits only at cap boundaries; its tail
+// piece may then take whole following groups that fit.
+func TestQueueSplitsLargeGroupAtCap(t *testing.T) {
+	q := newQueue([]string{"a/1", "a/2", "a/3", "a/4", "a/5", "a/6", "a/7", "b/1", "b/2", "c/1", "c/2", "c/3"}, byPrefix, 3)
+	got := popAll(t, q, 3)
+	want := [][]string{{"a/1", "a/2", "a/3"}, {"a/4", "a/5", "a/6"}, {"a/7", "b/1", "b/2"}, {"c/1", "c/2", "c/3"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks = %v, want %v", got, want)
+	}
+}
+
+// Set-up grouping never packs a suspect with anything: a suspect at the
+// head is popped alone, and one behind a clean group ends that chunk.
+func TestQueueGroupedSuspectsArePlacedAlone(t *testing.T) {
+	q := newQueue([]string{"a/1", "a/2", "b/1"}, byPrefix, 3)
+	chunk, _ := q.pop(2)
+	if !reflect.DeepEqual(chunk, []string{"a/1", "a/2"}) {
+		t.Fatalf("first pop = %v", chunk)
+	}
+	q.requeue(chunk, true) // pending: b/1, then suspects a/1, a/2
+	got := popAll(t, q, 4)
+	want := [][]string{{"b/1"}, {"a/1"}, {"a/2"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks = %v, want %v", got, want)
+	}
+}
+
+// Requeued (penalty-free) and reopened jobs go back to pending and are
+// popped again, still packed by group.
+func TestQueueGroupedRequeueAndReopenArePopped(t *testing.T) {
+	q := newQueue([]string{"a/1", "b/1", "a/2", "b/2"}, byPrefix, 3)
+	chunk, _ := q.pop(2) // a/1, a/2
+	q.ack("a/1")
+	q.requeue(chunk, false) // a/2 goes back behind group b
+	got := popAll(t, q, 4)
+	want := [][]string{{"b/1", "b/2", "a/2"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks after requeue = %v, want %v", got, want)
+	}
+
+	q = newQueue([]string{"a/1", "a/2"}, byPrefix, 3)
+	q.beginAudit() // an audit holds the queue open so it can reopen
+	popAll(t, q, 2)
+	q.reopen([]string{"a/1", "a/2"})
+	got = popAll(t, q, 2)
+	if want := [][]string{{"a/1", "a/2"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks after reopen = %v, want %v", got, want)
+	}
+	q.endAudit()
+	if !q.isClosed() {
+		t.Fatal("queue still open after reopened jobs were acked and the audit settled")
+	}
+}
+
 func TestQueueSuspectsArePlacedAlone(t *testing.T) {
-	q := newQueue([]string{"a", "b", "c", "d"}, 3)
+	q := newQueue([]string{"a", "b", "c", "d"}, oneGroup, 3)
 	chunk, ok := q.pop(4)
 	if !ok || len(chunk) != 4 {
 		t.Fatalf("pop = %v, %v", chunk, ok)
@@ -29,7 +134,7 @@ func TestQueueSuspectsArePlacedAlone(t *testing.T) {
 }
 
 func TestQueueQuarantineAfterMaxPlacements(t *testing.T) {
-	q := newQueue([]string{"poison", "fine"}, 2)
+	q := newQueue([]string{"poison", "fine"}, oneGroup, 2)
 	chunk, _ := q.pop(1) // "poison"
 	q.requeue(chunk, true)
 	if got := q.quarantinedIDs(); len(got) != 0 {
@@ -54,7 +159,7 @@ func TestQueueQuarantineAfterMaxPlacements(t *testing.T) {
 }
 
 func TestQueueRequeueSkipsAckedJobs(t *testing.T) {
-	q := newQueue([]string{"a", "b"}, 3)
+	q := newQueue([]string{"a", "b"}, oneGroup, 3)
 	chunk, _ := q.pop(2)
 	q.ack("a")
 	q.requeue(chunk, false) // worker died; "a" already merged
@@ -65,7 +170,7 @@ func TestQueueRequeueSkipsAckedJobs(t *testing.T) {
 }
 
 func TestQueuePopWakesOnCloseAndFail(t *testing.T) {
-	q := newQueue([]string{"a"}, 3)
+	q := newQueue([]string{"a"}, oneGroup, 3)
 	if _, ok := q.pop(1); !ok {
 		t.Fatal("pop of live queue failed")
 	}
@@ -110,7 +215,7 @@ func TestQueueDoneClosesOnceOnEveryClosePath(t *testing.T) {
 			return q
 		}, func(q *queue) { q.endAudit() }},
 		{"quarantining requeue", func() *queue {
-			q := newQueue([]string{"a"}, 1)
+			q := newQueue([]string{"a"}, oneGroup, 1)
 			q.pop(1)
 			return q
 		}, func(q *queue) { q.requeue([]string{"a"}, true) }},
@@ -120,7 +225,7 @@ func TestQueueDoneClosesOnceOnEveryClosePath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			q := newQueue(nil, 3)
+			q := newQueue(nil, oneGroup, 3)
 			if tc.setup != nil {
 				q = tc.setup()
 				if isDone(q) {
@@ -163,7 +268,7 @@ func TestQueueDoneClosesOnceOnEveryClosePath(t *testing.T) {
 // ready carries one token per burst of jobs going back to pending, so
 // the local fallback loop wakes on requeue and reopen, not on a timer.
 func TestQueueReadySignalsPendingJobs(t *testing.T) {
-	q := newQueue([]string{"a", "b"}, 3)
+	q := newQueue([]string{"a", "b"}, oneGroup, 3)
 	chunk, _ := q.pop(2)
 	if isReady(q) {
 		t.Fatal("ready signaled before any job went back to pending")
@@ -191,7 +296,7 @@ func TestQueueReadySignalsPendingJobs(t *testing.T) {
 
 // leasedQueue returns a one-job queue whose job is out on a placement.
 func leasedQueue() *queue {
-	q := newQueue([]string{"a"}, 3)
+	q := newQueue([]string{"a"}, oneGroup, 3)
 	q.pop(1)
 	return q
 }

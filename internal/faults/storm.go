@@ -238,10 +238,6 @@ func NewStormProcess(cfg StormConfig, dist MBUDistribution, seed int64, surfaces
 	return p, nil
 }
 
-// Storming reports whether the process is currently in the storm
-// state.
-func (p *StormProcess) Storming() bool { return p.storming }
-
 // Accesses returns how many steps the process has taken.
 func (p *StormProcess) Accesses() uint64 { return p.access }
 

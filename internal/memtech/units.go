@@ -32,9 +32,6 @@ const ClockHz = 1e9
 // Seconds converts a cycle count to wall-clock seconds at ClockHz.
 func (c Cycles) Seconds() float64 { return float64(c) / ClockHz }
 
-// ToMillijoules converts picojoules to millijoules.
-func (p Picojoules) ToMillijoules() Millijoules { return Millijoules(p) * 1e-9 }
-
 // StaticEnergy returns the energy leaked by a structure of power p over
 // the given number of cycles, in millijoules.
 func StaticEnergy(p Milliwatts, c Cycles) Millijoules {

@@ -159,10 +159,12 @@ func (c *Client) Ready(ctx context.Context) (server.ReadyStatus, error) {
 }
 
 // Healthz fetches /healthz: liveness plus the load signals the fabric
-// coordinator uses for placement.
+// coordinator uses for placement. It is a probe, so it makes exactly
+// one attempt: a failure is the answer, and re-probing is the caller's
+// policy (the fabric's worker loop re-probes every ProbeInterval).
 func (c *Client) Healthz(ctx context.Context) (server.HealthStatus, error) {
 	var out server.HealthStatus
-	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	_, err := c.send(ctx, http.MethodGet, "/healthz", nil, &out)
 	return out, err
 }
 

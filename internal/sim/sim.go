@@ -339,12 +339,6 @@ func (m *Machine) RunWithPlan(s trace.Stream, plan *schedule.Plan) (Result, erro
 	return m.run(nil, s, plan)
 }
 
-// RunWithPlanContext is RunWithPlan with cooperative cancellation (see
-// RunContext).
-func (m *Machine) RunWithPlanContext(ctx context.Context, s trace.Stream, plan *schedule.Plan) (Result, error) {
-	return m.run(ctx, s, plan)
-}
-
 func (m *Machine) run(ctx context.Context, s trace.Stream, plan *schedule.Plan) (Result, error) {
 	var res Result
 	accessIdx := 0

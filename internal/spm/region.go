@@ -549,17 +549,6 @@ func (r *Region) WordHasStuck(wordIdx int) bool {
 	return !r.stuckMask[wordIdx].IsZero()
 }
 
-// StuckWordCount returns the number of words holding stuck cells.
-func (r *Region) StuckWordCount() int {
-	n := 0
-	for i := range r.stuckMask {
-		if !r.stuckMask[i].IsZero() {
-			n++
-		}
-	}
-	return n
-}
-
 // RetireWord removes a word from service: scrub and audit skip it from
 // now on. The controller pairs this with withholding the word from its
 // free lists, so nothing is ever placed there again.
