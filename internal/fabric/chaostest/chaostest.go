@@ -64,6 +64,7 @@ type FakeWorker struct {
 	script     Script
 	down       bool
 	placements int
+	probes     int
 }
 
 // New starts a fake worker backed by a real server handler. It is
@@ -116,6 +117,14 @@ func (fw *FakeWorker) Placements() int {
 	return fw.placements
 }
 
+// Probes counts /healthz requests this worker has received, down or
+// not.
+func (fw *FakeWorker) Probes() int {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.probes
+}
+
 func (fw *FakeWorker) clearOnce() {
 	fw.mu.Lock()
 	if fw.script.Once {
@@ -139,6 +148,9 @@ func (fw *FakeWorker) handle(w http.ResponseWriter, r *http.Request) {
 	fw.mu.Lock()
 	down := fw.down
 	sc := fw.script
+	if r.URL.Path == "/healthz" {
+		fw.probes++
+	}
 	if r.URL.Path == "/v1/fabric" && !down {
 		fw.placements++
 		if sc.Shed429 > 0 {
