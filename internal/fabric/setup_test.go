@@ -51,15 +51,17 @@ type recordingWorker struct {
 	chunks [][]string
 }
 
-// statusWriter remembers the status a handler answered with and keeps
-// the stream flushable.
+// statusWriter calls onOK when the handler answers 200, before the
+// status reaches the client, and keeps the stream flushable.
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	onOK func()
 }
 
 func (s *statusWriter) WriteHeader(code int) {
-	s.code = code
+	if code == http.StatusOK {
+		s.onOK()
+	}
 	s.ResponseWriter.WriteHeader(code)
 }
 
@@ -83,14 +85,18 @@ func newRecordingWorker(t *testing.T, rec *recordingWorker) string {
 		}
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		// The chunk is recorded as it is accepted: the coordinator can
+		// read the last result line and finish the campaign before the
+		// handler returns.
+		sw := &statusWriter{ResponseWriter: w, onOK: func() {
+			var req wire.Request
+			if json.Unmarshal(body, &req) == nil {
+				rec.mu.Lock()
+				rec.chunks = append(rec.chunks, req.JobIDs)
+				rec.mu.Unlock()
+			}
+		}}
 		inner.ServeHTTP(sw, r)
-		var req wire.Request
-		if sw.code == http.StatusOK && json.Unmarshal(body, &req) == nil {
-			rec.mu.Lock()
-			rec.chunks = append(rec.chunks, req.JobIDs)
-			rec.mu.Unlock()
-		}
 	}))
 	t.Cleanup(ts.Close)
 	return ts.URL

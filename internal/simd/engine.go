@@ -67,7 +67,12 @@ type Engine struct {
 	golden [][]uint32
 	zero   []uint64 // per-region power-on codeword
 
-	rngs   [MaxLanes]*rand.Rand
+	// The strike planner's stream, one for all lanes (they are planned
+	// one after another), and rng over it for the per-strike draws.
+	// thresh is strikeThreshold(StrikesPerAccess).
+	stream *stream
+	rng    *rand.Rand
+	thresh uint64
 	sched  [MaxLanes][]strike
 	cursor [MaxLanes]int
 
@@ -106,9 +111,9 @@ func NewEngine(sk *Skeleton, inj Injection) (*Engine, error) {
 		e.golden[i] = make([]uint32, rs.words)
 		e.zero[i] = rs.codec.Encode(ecc.BitsFromUint64(0)).Uint64()
 	}
-	for l := range e.rngs {
-		e.rngs[l] = rand.New(rand.NewSource(0))
-	}
+	e.stream = newStream()
+	e.rng = rand.New(e.stream)
+	e.thresh = strikeThreshold(inj.StrikesPerAccess)
 	return e, nil
 }
 
@@ -146,36 +151,68 @@ func (e *Engine) reset(lanes int) {
 // draw sequence of the scalar injection path over the whole run: the
 // struck surface is static, so strike placement is independent of the
 // fault state. Immune-absorbed strikes are counted but not scheduled.
+//
+// The scalar path draws rng.Float64() < p per access. Here an Int63
+// draw x decides the same: x < thresh strikes, x >= resampleAt is the
+// draw Float64 discards and redraws for the same access, and anything
+// in between is a quiet access. One unsigned compare finds the next
+// draw outside the quiet range, so quiet runs are skipped a block at a
+// time.
 func (e *Engine) plan(l int, seed int64) {
-	rng := e.rngs[l]
-	rng.Seed(seed)
+	st := e.stream
+	st.Seed(seed)
 	sched := e.sched[l][:0]
-	sk := e.sk
-	p := e.inj.StrikesPerAccess
-	for a := uint64(1); a <= sk.accesses; a++ {
-		if rng.Float64() >= p {
+	n := e.sk.accesses
+	t, quiet := e.thresh, uint64(resampleAt)-e.thresh
+	vec := &st.vec
+	for a := uint64(1); a <= n; {
+		if st.pos == lagLong {
+			st.refill()
+		}
+		i := st.pos
+		for i < lagLong && vec[i]&int63Mask-t < quiet {
+			i++
+		}
+		a += uint64(i - st.pos)
+		st.pos = i
+		if i == lagLong || a > n {
+			continue
+		}
+		st.pos++
+		if vec[i]&int63Mask >= resampleAt {
 			continue
 		}
 		e.strikes[l]++
-		surf, total, off := sk.dSurf, sk.dBits, sk.dOff
-		switch e.inj.Target {
-		case sim.TargetInstSPM:
-			surf, total, off = sk.iSurf, sk.iBits, sk.iOff
-		case sim.TargetBothSPMs:
-			if t := sk.iBits + sk.dBits; t > 0 && rng.Intn(t) < sk.iBits {
-				surf, total, off = sk.iSurf, sk.iBits, sk.iOff
-			}
+		if s, ok := e.drawStrike(e.rng, a); ok {
+			sched = append(sched, s)
 		}
-		ps := faults.PlanStrike(rng, surf, total, e.inj.Dist)
-		if ps.Delta == 0 {
-			continue
-		}
-		sched = append(sched, strike{
-			atAccess: uint32(a), region: int32(off + ps.Region),
-			word: int32(ps.Word), delta: ps.Delta,
-		})
+		a++
 	}
 	e.sched[l] = sched
+}
+
+// drawStrike draws the target SPM and strike location of a strike at
+// access a, in the scalar path's draw order. It reports false for a
+// strike an immune region absorbs.
+func (e *Engine) drawStrike(rng *rand.Rand, a uint64) (strike, bool) {
+	sk := e.sk
+	surf, total, off := sk.dSurf, sk.dBits, sk.dOff
+	switch e.inj.Target {
+	case sim.TargetInstSPM:
+		surf, total, off = sk.iSurf, sk.iBits, sk.iOff
+	case sim.TargetBothSPMs:
+		if t := sk.iBits + sk.dBits; t > 0 && rng.Intn(t) < sk.iBits {
+			surf, total, off = sk.iSurf, sk.iBits, sk.iOff
+		}
+	}
+	ps := faults.PlanStrike(rng, surf, total, e.inj.Dist)
+	if ps.Delta == 0 {
+		return strike{}, false
+	}
+	return strike{
+		atAccess: uint32(a), region: int32(off + ps.Region),
+		word: int32(ps.Word), delta: ps.Delta,
+	}, true
 }
 
 func (e *Engine) applyStrike(l int, s *strike) {

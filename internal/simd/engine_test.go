@@ -18,7 +18,7 @@ import (
 
 // buildConfig maps the case study onto a structure and returns the
 // simulator config plus the trace, mirroring what the soak runner does.
-func buildConfig(t *testing.T, s core.Structure, scale float64) (sim.Config, []trace.Event, *workloads.Workload) {
+func buildConfig(t testing.TB, s core.Structure, scale float64) (sim.Config, []trace.Event, *workloads.Workload) {
 	t.Helper()
 	w, err := workloads.ByName(workloads.CaseStudyName)
 	if err != nil {
@@ -149,6 +149,41 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state RunBatch allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// BenchmarkRunBatch times one full packed batch, strike planning
+// included: 64 lanes at p = 0.01 over the case study at scale 0.05.
+func BenchmarkRunBatch(b *testing.B) {
+	cfg, events, w := buildConfig(b, core.StructFTSPM, 0.05)
+	sk, err := simd.BuildSkeleton(context.Background(), w.Program(), cfg, events)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := simd.NewEngine(sk, simd.Injection{
+		StrikesPerAccess: 0.01,
+		Dist:             faults.Dist40nm,
+		Target:           sim.TargetBothSPMs,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeds := make([]int64, simd.MaxLanes)
+	out := make([]simd.TrialResult, simd.MaxLanes)
+	batch := func(i int) {
+		for l := range seeds {
+			seeds[l] = int64(i*simd.MaxLanes + l + 1)
+		}
+		if err := eng.RunBatch(context.Background(), seeds, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// A warm-up batch sizes the per-lane schedules.
+	batch(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch(i)
 	}
 }
 
