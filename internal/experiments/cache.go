@@ -184,12 +184,16 @@ func (s *JobSource) cachedRun(k resultcache.Key, run func(context.Context) (json
 
 // EvaluateCachedContext evaluates one workload × structure through the
 // result cache: a hit (or a collapse onto a concurrent identical
-// evaluation) decodes the cached bytes instead of running the
-// pipeline. The returned Outcome is the JSON round-trip of the
-// uncached one — byte-identical when re-marshaled — except that
-// Profile (excluded from JSON by design) is nil on hits. The second
-// return reports whether the cache satisfied the call. A nil cache
-// degrades to EvaluateByNameContext.
+// evaluation) is served from the cached bytes instead of running the
+// pipeline. Each cache entry is decoded on its first hit only; later
+// hits return that same decoded Outcome. A miss returns the Outcome it
+// computed, with Profile cleared. Either way Profile is nil and the
+// Outcome re-marshals to exactly the cached bytes. The second return
+// reports whether the cache satisfied the call. A nil cache degrades
+// to EvaluateByNameContext (Profile kept).
+//
+// The returned Outcome's maps and slices may be shared with other
+// callers and with the cache: treat them as read-only.
 func EvaluateCachedContext(ctx context.Context, c *resultcache.Cache, name string, structure core.Structure, opts Options) (Outcome, bool, error) {
 	if c == nil {
 		out, err := EvaluateByNameContext(ctx, name, structure, opts)
@@ -200,19 +204,29 @@ func EvaluateCachedContext(ctx context.Context, c *resultcache.Cache, name strin
 	if err != nil {
 		return Outcome{}, false, err
 	}
-	v, hit, err := c.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
+	v, hit, err := c.GetOrComputeDecoded(ctx, k, decodeOutcome, func(cctx context.Context) (any, []byte, error) {
 		out, err := EvaluateByNameContext(cctx, name, structure, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return json.Marshal(out)
+		b, err := json.Marshal(out)
+		if err != nil {
+			return nil, nil, err
+		}
+		out.Profile = nil
+		return &out, b, nil
 	})
 	if err != nil {
 		return Outcome{}, false, err
 	}
-	var out Outcome
-	if err := json.Unmarshal(v, &out); err != nil {
-		return Outcome{}, false, fmt.Errorf("experiments: decode cached outcome: %w", err)
+	return *v.(*Outcome), hit, nil
+}
+
+// decodeOutcome decodes cached evaluate bytes for GetOrComputeDecoded.
+func decodeOutcome(b []byte) (any, error) {
+	out := new(Outcome)
+	if err := json.Unmarshal(b, out); err != nil {
+		return nil, fmt.Errorf("experiments: decode cached outcome: %w", err)
 	}
-	return out, hit, nil
+	return out, nil
 }

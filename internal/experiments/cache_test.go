@@ -192,3 +192,48 @@ func TestCachedResultMatchesFreshRun(t *testing.T) {
 		t.Fatalf("synthesized record %+v, want first-attempt shape", res)
 	}
 }
+
+// A miss, the first (decoding) hit and a memoized hit of one key all
+// return Outcomes that re-marshal to exactly the cached bytes, so
+// responses built from any of them are byte-identical. The memoized
+// hit shares the decoding hit's value.
+func TestEvaluateCachedMissAndHitsMatchCachedBytes(t *testing.T) {
+	opts := Options{Scale: 0.02}
+	ctx := context.Background()
+	c := newTestCache(t)
+	k, err := evaluateCacheKey("sha", core.StructFTSPM, opts.normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs [3]Outcome
+	for i, wantHit := range []bool{false, true, true} {
+		out, hit, err := EvaluateCachedContext(ctx, c, "sha", core.StructFTSPM, opts)
+		if err != nil || hit != wantHit {
+			t.Fatalf("call %d: hit=%v err=%v, want hit=%v", i, hit, err, wantHit)
+		}
+		if out.Profile != nil {
+			t.Fatalf("call %d returned a Profile", i)
+		}
+		outs[i] = out
+	}
+	cached, ok := c.Get(k)
+	if !ok {
+		t.Fatal("evaluate result not cached")
+	}
+	for i, out := range outs {
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, cached) {
+			t.Fatalf("call %d re-marshals to bytes that differ from the cached entry", i)
+		}
+	}
+	if len(outs[1].Mapping.Decisions) == 0 || &outs[1].Mapping.Decisions[0] != &outs[2].Mapping.Decisions[0] {
+		t.Fatal("memoized hit did not share the decoding hit's value")
+	}
+	// Two evaluate hits plus the Get above.
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 1 || s.Bytes != 2*int64(len(cached)) {
+		t.Fatalf("stats = %+v, want hits=3 misses=1 and one memo charge", s)
+	}
+}

@@ -12,9 +12,11 @@ type Config struct {
 	// MaxEntries bounds the in-memory tier's entry count (0 = 4096).
 	MaxEntries int
 	// MaxBytes bounds the in-memory tier's total value bytes
-	// (0 = 64 MiB). Both bounds are enforced by LRU eviction; an entry
-	// larger than MaxBytes is stored on disk (if configured) but not
-	// pinned in memory.
+	// (0 = 64 MiB), counting an entry's bytes twice once it holds a
+	// decoded value (see GetOrComputeDecoded). Both bounds are
+	// enforced by LRU eviction; an entry larger than MaxBytes is stored
+	// on disk (if configured) but not pinned in memory, and counted in
+	// Stats.Oversize.
 	MaxBytes int64
 	// Path, when non-empty, enables the on-disk tier: an append-only
 	// JSONL segment whose records reuse the campaign journal's v2
@@ -39,8 +41,9 @@ type Stats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
 	Bypasses uint64 `json:"bypasses"`
-	// Collapsed counts GetOrCompute callers that waited on another
-	// caller's in-flight computation of the same key (singleflight).
+	// Collapsed counts GetOrCompute/GetOrComputeDecoded callers that
+	// waited on another caller's in-flight computation of the same key
+	// (singleflight).
 	Collapsed uint64 `json:"collapsed"`
 	// Evictions counts LRU evictions from the memory tier. DiskHits
 	// counts hits promoted from the disk tier; DiskDrops counts disk
@@ -49,8 +52,13 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	DiskHits  uint64 `json:"disk_hits"`
 	DiskDrops uint64 `json:"disk_drops"`
-	// Entries/Bytes describe the memory tier right now; DiskEntries the
-	// disk index.
+	// Oversize counts values too large for MaxBytes that were therefore
+	// not kept in memory: served from disk later if the disk tier is
+	// on, lost otherwise.
+	Oversize uint64 `json:"oversize"`
+	// Entries/Bytes describe the memory tier right now (Bytes as
+	// charged against MaxBytes, decoded values included); DiskEntries
+	// the disk index.
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
 	DiskEntries int   `json:"disk_entries"`
@@ -58,7 +66,8 @@ type Stats struct {
 
 // Cache is a two-tier (memory LRU + optional disk segment)
 // content-addressed result cache. All methods are safe for concurrent
-// use. Values returned by Get/GetOrCompute are private copies.
+// use. Values returned by Get/GetOrCompute are private copies; values
+// returned by GetOrComputeDecoded are shared and read-only.
 type Cache struct {
 	maxEntries int
 	maxBytes   int64
@@ -78,6 +87,18 @@ type Cache struct {
 type entry struct {
 	key Key
 	val []byte
+	// memo is the decoded form of val, set by the first
+	// GetOrComputeDecoded hit and dropped with the entry.
+	memo any
+}
+
+// size is what the entry charges against MaxBytes: its bytes, and the
+// same again for a memoized decoded value.
+func (e *entry) size() int64 {
+	if e.memo != nil {
+		return 2 * int64(len(e.val))
+	}
+	return int64(len(e.val))
 }
 
 // call is one in-flight computation other callers can wait on.
@@ -129,21 +150,27 @@ func Open(cfg Config) (*Cache, error) {
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.getLocked(k)
+	_, v, ok := c.lookupLocked(k)
+	return clone(v), ok
 }
 
-func (c *Cache) getLocked(k Key) ([]byte, bool) {
+// lookupLocked is the one counted lookup behind Get and
+// GetOrComputeDecoded. On a hit it returns the stored bytes (not a
+// copy: stored bytes are never mutated) and the memory-tier entry
+// holding them, which is nil for a disk hit too large to keep in
+// memory.
+func (c *Cache) lookupLocked(k Key) (*entry, []byte, bool) {
 	if el, ok := c.index[k.String()]; ok {
 		c.lru.MoveToFront(el)
 		c.stats.Hits++
-		return clone(el.Value.(*entry).val), true
+		e := el.Value.(*entry)
+		return e, e.val, true
 	}
 	if c.disk != nil {
 		if v, ok, dropped := c.disk.get(k); ok {
 			c.stats.Hits++
 			c.stats.DiskHits++
-			c.storeLocked(k, v)
-			return clone(v), true
+			return c.storeLocked(k, v), v, true
 		} else if dropped > 0 {
 			c.stats.DiskDrops += dropped
 		}
@@ -153,7 +180,7 @@ func (c *Cache) getLocked(k Key) ([]byte, bool) {
 	} else {
 		c.stats.Misses++
 	}
-	return nil, false
+	return nil, nil, false
 }
 
 // Put stores value bytes under k in both tiers. The value is copied.
@@ -177,20 +204,30 @@ func (c *Cache) Put(k Key, v []byte) {
 	}
 }
 
-// storeLocked inserts into the memory tier and evicts LRU entries
-// until both capacity bounds hold. An entry bigger than the byte bound
-// would evict everything and still not fit; it is not pinned.
-func (c *Cache) storeLocked(k Key, v []byte) {
+// storeLocked inserts into the memory tier, evicts LRU entries until
+// both capacity bounds hold, and returns the stored entry. An entry
+// bigger than the byte bound would evict everything and still not
+// fit; it is not pinned (nil is returned) and counted as oversize.
+func (c *Cache) storeLocked(k Key, v []byte) *entry {
 	if int64(len(v)) > c.maxBytes {
 		c.faults[k.Base] = k.Fault
-		return
+		c.stats.Oversize++
+		return nil
 	}
-	if _, ok := c.index[k.String()]; ok {
-		return
+	if el, ok := c.index[k.String()]; ok {
+		return el.Value.(*entry)
 	}
-	c.index[k.String()] = c.lru.PushFront(&entry{key: k, val: v})
-	c.bytes += int64(len(v))
+	e := &entry{key: k, val: v}
+	c.index[k.String()] = c.lru.PushFront(e)
+	c.bytes += e.size()
 	c.faults[k.Base] = k.Fault
+	c.evictLocked()
+	return e
+}
+
+// evictLocked drops entries from the cold end until both capacity
+// bounds hold. A dropped entry takes its memoized value with it.
+func (c *Cache) evictLocked() {
 	for c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		el := c.lru.Back()
 		if el == nil {
@@ -198,7 +235,7 @@ func (c *Cache) storeLocked(k Key, v []byte) {
 		}
 		e := c.lru.Remove(el).(*entry)
 		delete(c.index, e.key.String())
-		c.bytes -= int64(len(e.val))
+		c.bytes -= e.size()
 		c.stats.Evictions++
 	}
 }
@@ -215,44 +252,165 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 		v, err := compute(ctx)
 		return v, false, err
 	}
-	ks := k.String()
 	for {
 		if v, ok := c.Get(k); ok {
 			return v, true, nil
 		}
-		c.fmu.Lock()
-		if cl, ok := c.flight[ks]; ok {
-			c.fmu.Unlock()
-			c.mu.Lock()
-			c.stats.Collapsed++
-			c.mu.Unlock()
-			select {
-			case <-cl.done:
-				if cl.err == nil {
-					return clone(cl.val), true, nil
-				}
-				if isContextErr(cl.err) && ctx.Err() == nil {
-					continue // executor cancelled, we are not: retry
-				}
-				return nil, false, cl.err
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
+		cl, leader := c.join(k)
+		if leader {
+			v, err := compute(ctx)
+			c.finish(k, cl, v, err)
+			return v, false, err
 		}
-		cl := &call{done: make(chan struct{})}
-		c.flight[ks] = cl
-		c.fmu.Unlock()
+		if retry, err := c.wait(ctx, cl); retry {
+			continue
+		} else if err != nil {
+			return nil, false, err
+		}
+		return clone(cl.val), true, nil
+	}
+}
 
-		v, err := compute(ctx)
-		if err == nil {
-			c.Put(k, v)
+// GetOrComputeDecoded is GetOrCompute for callers that want a decoded
+// form of the value rather than its bytes. Its lookup moves the LRU
+// and the counters exactly as GetOrCompute's does. A hit returns the
+// entry's memoized decoded value; the entry's first such hit runs
+// decode and memoizes the result, which then lives and dies with the
+// entry (a decode error is returned and nothing is memoized). A miss
+// runs compute, which returns the value and the bytes to cache; that
+// value is returned as is and never memoized, so one-off results hold
+// no decoded memory. A collapsed waiter decodes the executor's bytes.
+//
+// Returned values are shared between callers: treat them as read-only.
+func (c *Cache) GetOrComputeDecoded(ctx context.Context, k Key, decode func([]byte) (any, error), compute func(context.Context) (any, []byte, error)) (any, bool, error) {
+	if !k.Valid() {
+		obj, _, err := compute(ctx)
+		return obj, false, err
+	}
+	for {
+		if obj, ok, err := c.getDecoded(k, decode); ok {
+			if err != nil {
+				return nil, false, err
+			}
+			return obj, true, nil
 		}
-		cl.val, cl.err = v, err
-		c.fmu.Lock()
-		delete(c.flight, ks)
+		cl, leader := c.join(k)
+		if leader {
+			obj, v, err := compute(ctx)
+			c.finish(k, cl, v, err)
+			return obj, false, err
+		}
+		if retry, err := c.wait(ctx, cl); retry {
+			continue
+		} else if err != nil {
+			return nil, false, err
+		}
+		obj, err := decode(cl.val)
+		if err != nil {
+			return nil, false, err
+		}
+		return obj, true, nil
+	}
+}
+
+// getDecoded is GetOrComputeDecoded's lookup: counted as Get counts
+// it, and on a hit the memoized value, or a fresh decode memoized on
+// the entry. Decoding runs outside the lock, so concurrent first hits
+// on one key may each decode; the first to finish is kept and shared.
+func (c *Cache) getDecoded(k Key, decode func([]byte) (any, error)) (any, bool, error) {
+	c.mu.Lock()
+	e, v, ok := c.lookupLocked(k)
+	var memo any
+	if e != nil {
+		memo = e.memo
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil, false, nil
+	}
+	if memo != nil {
+		return memo, true, nil
+	}
+	obj, err := decode(v)
+	if err != nil {
+		return nil, true, err
+	}
+	if e != nil {
+		obj = c.memoize(e, obj)
+	}
+	return obj, true, nil
+}
+
+// memoize attaches obj to e and returns the value e now holds, which
+// is another caller's if a concurrent hit got there first. The decoded
+// value is charged against MaxBytes at len(e.val) a second time. An
+// entry that has left the memory tier, or whose doubled charge alone
+// exceeds MaxBytes, is not memoized.
+func (c *Cache) memoize(e *entry, obj any) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.memo != nil {
+		return e.memo
+	}
+	if el, ok := c.index[e.key.String()]; !ok || el.Value.(*entry) != e {
+		return obj
+	}
+	if 2*int64(len(e.val)) > c.maxBytes {
+		return obj
+	}
+	e.memo = obj
+	c.bytes += int64(len(e.val))
+	c.evictLocked()
+	return obj
+}
+
+// join attaches the caller to k's in-flight computation. The first
+// caller becomes its leader (true) and must finish it; later callers
+// get it to wait on and are counted as collapsed.
+func (c *Cache) join(k Key) (*call, bool) {
+	ks := k.String()
+	c.fmu.Lock()
+	if cl, ok := c.flight[ks]; ok {
 		c.fmu.Unlock()
-		close(cl.done)
-		return v, false, err
+		c.mu.Lock()
+		c.stats.Collapsed++
+		c.mu.Unlock()
+		return cl, false
+	}
+	cl := &call{done: make(chan struct{})}
+	c.flight[ks] = cl
+	c.fmu.Unlock()
+	return cl, true
+}
+
+// finish publishes the leader's result: a success is cached, then the
+// waiters are released.
+func (c *Cache) finish(k Key, cl *call, v []byte, err error) {
+	if err == nil {
+		c.Put(k, v)
+	}
+	cl.val, cl.err = v, err
+	c.fmu.Lock()
+	delete(c.flight, k.String())
+	c.fmu.Unlock()
+	close(cl.done)
+}
+
+// wait blocks until cl finishes or ctx ends. retry reports that the
+// leader was cancelled while this caller's context is still live, so
+// the caller should look k up again rather than inherit the failure.
+func (c *Cache) wait(ctx context.Context, cl *call) (retry bool, err error) {
+	select {
+	case <-cl.done:
+		if cl.err == nil {
+			return false, nil
+		}
+		if isContextErr(cl.err) && ctx.Err() == nil {
+			return true, nil
+		}
+		return false, cl.err
+	case <-ctx.Done():
+		return false, ctx.Err()
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"ftspm/internal/core"
+	"ftspm/internal/experiments"
 )
 
 // /v1/map composes per-(workload, structure) cache entries: a repeated
@@ -31,37 +34,57 @@ func TestMapEndpointComposesCache(t *testing.T) {
 		t.Fatal("entry carries no placement")
 	}
 
-	resp2, data2 := postJSON(t, ts.URL+"/v1/map", body)
-	if resp2.StatusCode != 200 {
-		t.Fatalf("warm map: %d %s", resp2.StatusCode, data2)
-	}
-	var warm MapResponse
-	if err := json.Unmarshal(data2, &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheHits != 4 || warm.CacheMisses != 0 {
-		t.Fatalf("warm: hits=%d misses=%d, want 4/0", warm.CacheHits, warm.CacheMisses)
-	}
+	// The second batch decodes each entry on its first hit; the third
+	// is served from the decoded memos. Both match the cold entries.
 	ce, _ := json.Marshal(cold.Entries)
-	we, _ := json.Marshal(warm.Entries)
-	if !bytes.Equal(ce, we) {
-		t.Fatal("warm map entries diverge from cold run")
+	for _, batch := range []string{"decoding", "memoized"} {
+		resp, data := postJSON(t, ts.URL+"/v1/map", body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s map: %d %s", batch, resp.StatusCode, data)
+		}
+		var warm MapResponse
+		if err := json.Unmarshal(data, &warm); err != nil {
+			t.Fatal(err)
+		}
+		if warm.CacheHits != 4 || warm.CacheMisses != 0 {
+			t.Fatalf("%s: hits=%d misses=%d, want 4/0", batch, warm.CacheHits, warm.CacheMisses)
+		}
+		if we, _ := json.Marshal(warm.Entries); !bytes.Equal(ce, we) {
+			t.Fatalf("%s map entries diverge from cold run", batch)
+		}
 	}
 
-	// /v1/evaluate hits the entry the map batch populated, flagged in
-	// the header with an unchanged body shape.
-	er, edata := postJSON(t, ts.URL+"/v1/evaluate", `{"workload":"sha","structure":"ftspm","scale":0.02}`)
-	if er.StatusCode != 200 {
-		t.Fatalf("evaluate: %d %s", er.StatusCode, edata)
+	// /v1/evaluate hits the entry the map batches populated, flagged in
+	// the header with an unchanged body shape; a repeat is byte-for-byte
+	// the same body, and its run is the cold map entry's run.
+	var evalBodies [2][]byte
+	for i := range evalBodies {
+		er, edata := postJSON(t, ts.URL+"/v1/evaluate", `{"workload":"sha","structure":"ftspm","scale":0.02}`)
+		if er.StatusCode != 200 {
+			t.Fatalf("evaluate: %d %s", er.StatusCode, edata)
+		}
+		if got := er.Header.Get("X-Ftspm-Cache"); got != "hit" {
+			t.Fatalf("X-Ftspm-Cache = %q, want hit", got)
+		}
+		evalBodies[i] = edata
 	}
-	if got := er.Header.Get("X-Ftspm-Cache"); got != "hit" {
-		t.Fatalf("X-Ftspm-Cache = %q, want hit", got)
+	if !bytes.Equal(evalBodies[0], evalBodies[1]) {
+		t.Fatalf("repeat evaluate hit diverges:\n%s\n%s", evalBodies[0], evalBodies[1])
 	}
 	var ev struct {
 		Run json.RawMessage `json:"run"`
 	}
-	if err := json.Unmarshal(edata, &ev); err != nil || len(ev.Run) == 0 {
-		t.Fatalf("evaluate body: %v %s", err, edata)
+	if err := json.Unmarshal(evalBodies[0], &ev); err != nil || len(ev.Run) == 0 {
+		t.Fatalf("evaluate body: %v %s", err, evalBodies[0])
+	}
+	var evRun experiments.RunSummary
+	if err := json.Unmarshal(ev.Run, &evRun); err != nil {
+		t.Fatal(err)
+	}
+	eb, _ := json.Marshal(evRun)
+	cb, _ := json.Marshal(cold.Entries[0].Run)
+	if cold.Entries[0].Workload != "sha" || cold.Entries[0].Structure != core.StructFTSPM.String() || !bytes.Equal(eb, cb) {
+		t.Fatalf("evaluate hit run diverges from the cold map entry:\n%s\n%s", eb, cb)
 	}
 
 	// /healthz surfaces the counters.
@@ -106,5 +129,26 @@ func TestMapEndpointNoCache(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &hs)
 	if hs.Cache != nil {
 		t.Fatalf("healthz cache stats present with NoCache: %+v", hs.Cache)
+	}
+}
+
+// A result too large for the memory tier's byte bound is not kept, and
+// with no disk tier it is lost: /healthz counts every such drop rather
+// than letting the repeat miss go unexplained.
+func TestHealthzCountsOversizeResults(t *testing.T) {
+	_, ts := newTestServer(t, Config{DefaultScale: 0.02, CacheBytes: 64})
+	for i := 0; i < 2; i++ {
+		er, edata := postJSON(t, ts.URL+"/v1/evaluate", `{"workload":"sha","structure":"ftspm"}`)
+		if er.StatusCode != 200 {
+			t.Fatalf("evaluate: %d %s", er.StatusCode, edata)
+		}
+		if got := er.Header.Get("X-Ftspm-Cache"); got != "miss" {
+			t.Fatalf("evaluate %d: X-Ftspm-Cache = %q, want miss", i, got)
+		}
+	}
+	var hs HealthStatus
+	getJSON(t, ts.URL+"/healthz", &hs)
+	if hs.Cache == nil || hs.Cache.Oversize != 2 || hs.Cache.Entries != 0 || hs.Cache.Misses != 2 {
+		t.Fatalf("healthz cache stats = %+v, want oversize=2 entries=0 misses=2", hs.Cache)
 	}
 }

@@ -263,10 +263,11 @@ func (s *Server) timeout(ms int64) time.Duration {
 // evaluate is the production evaluation body behind /v1/evaluate. It
 // runs through the result cache: a repeated (workload, structure,
 // scale) request — or one whose sub-problem an earlier sweep already
-// computed — decodes the memoized outcome instead of simulating, and
-// concurrent identical requests collapse onto one execution. The
-// response body is byte-identical either way; cache status travels in
-// the X-Ftspm-Cache header only.
+// computed — is served from the cache (its bytes decoded once, on the
+// entry's first hit) instead of simulating, and concurrent identical
+// requests collapse onto one execution. The response body is
+// byte-identical either way; cache status travels in the
+// X-Ftspm-Cache header only.
 func (s *Server) evaluate(ctx context.Context, req EvaluateRequest, structure core.Structure) (*EvaluateResponse, error) {
 	opts := experiments.Options{Scale: req.Scale}
 	if opts.Scale == 0 {

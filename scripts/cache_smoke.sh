@@ -8,7 +8,10 @@
 # to run 1. Then SIGTERMs the daemon and restarts it on the same cache
 # file: the disk tier must survive the restart (a fresh process serves
 # the sweep from disk-promoted entries, again byte-identical) and the
-# warm /v1/evaluate + /v1/map paths must report cache hits.
+# warm /v1/evaluate + /v1/map paths must report cache hits. Finally
+# one fresh /v1/evaluate is sent three times — a miss, the hit that
+# decodes the entry, and a hit served from the decoded memo — and the
+# three run bodies must be byte-identical.
 set -u
 
 DIR=$(mktemp -d)
@@ -112,7 +115,26 @@ assert m["cache_misses"] == 0, f"warm map recomputed {m['cache_misses']} pairs"
 assert m["cache_hits"] == len(m["entries"]) > 0, m["cache_hits"]
 EOF
 
+echo "== one fresh evaluate three times: miss, decoding hit, memo hit"
+for i in 1 2 3; do
+  curl -sf -X POST "$BASE/v1/evaluate" \
+    -d '{"workload":"sha","structure":"ftspm","scale":0.03}' \
+    -D "$DIR/eval$i.hdr" -o "$DIR/eval$i.json" || { echo "evaluate $i failed"; exit 1; }
+  # The body is the run plus elapsed_ms, which is timing, not result.
+  grep -v '"elapsed_ms"' "$DIR/eval$i.json" >"$DIR/run$i.eval" || exit 1
+done
+for i in 1 2 3; do
+  case $i in 1) want=miss ;; *) want=hit ;; esac
+  grep -qi "^X-Ftspm-Cache: $want" "$DIR/eval$i.hdr" || {
+    echo "evaluate $i: want X-Ftspm-Cache: $want, got:"; cat "$DIR/eval$i.hdr"; exit 1; }
+done
+for i in 2 3; do
+  cmp -s "$DIR/run1.eval" "$DIR/run$i.eval" || {
+    echo "evaluate $i run diverged from the miss:"
+    diff "$DIR/run1.eval" "$DIR/run$i.eval" | head; exit 1; }
+done
+
 kill -TERM "$PID"
 wait "$PID" || { echo "second drain failed"; cat "$DIR/daemon2.log"; exit 1; }
 
-echo "cache smoke OK (warm sweep byte-identical, disk tier survives restart, map/evaluate served from memos)"
+echo "cache smoke OK (warm sweep byte-identical, disk tier survives restart, map/evaluate served from memos, miss == decoding hit == memo hit)"
