@@ -389,7 +389,7 @@ func AblationScrubbing(totalStrikes int, seed int64) ([]ScrubPoint, *report.Tabl
 				return nil, nil, err
 			}
 			if interval > 0 && s%interval == 0 {
-				rep, _, _ := r.Scrub()
+				rep, _, _ := r.ScrubWords()
 				repairs += rep
 			}
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ftspm/internal/core"
@@ -38,7 +39,9 @@ func runSoakBothPaths(t *testing.T, opts SoakOptions, structures []core.Structur
 // for every structure, recovery policy, and injection target, the
 // per-structure soak reports of the packed path must equal the scalar
 // simulator's exactly — same strike streams, same recovery tallies,
-// same end-of-run audit, cycle for cycle.
+// same end-of-run audit, cycle for cycle. Summed over all cases, every
+// recovery outcome must occur, so no branch of the policy or of the
+// lane arithmetic passes untested.
 func TestSoakLaneEquivalence(t *testing.T) {
 	allStructs := []core.Structure{
 		core.StructFTSPM, core.StructPureSRAM, core.StructPureSTT, core.StructDMR,
@@ -103,6 +106,34 @@ func TestSoakLaneEquivalence(t *testing.T) {
 			structures: []core.Structure{core.StructFTSPM},
 		},
 	}
+	var (
+		mu  sync.Mutex
+		ran int
+		sum spm.RecoveryStats
+	)
+	t.Cleanup(func() {
+		if ran < len(cases) {
+			return // a -run filter skipped cases; the sums are partial
+		}
+		for _, c := range []struct {
+			name string
+			n    uint64
+		}{
+			{"CorrectedOnAccess", sum.CorrectedOnAccess},
+			{"RefetchedWords", sum.RefetchedWords},
+			{"Rollbacks", sum.Rollbacks},
+			{"SDCEscalations", sum.SDCEscalations},
+			{"UnrecoveredDUEs", sum.UnrecoveredDUEs},
+			{"ScrubRepairs", sum.ScrubRepairs},
+			{"ScrubRefetches", sum.ScrubRefetches},
+			{"ScrubRestores", sum.ScrubRestores},
+			{"ScrubDUEs", sum.ScrubDUEs},
+		} {
+			if c.n == 0 {
+				t.Errorf("%s is zero over all cases: that outcome is never compared", c.name)
+			}
+		}
+	})
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +144,12 @@ func TestSoakLaneEquivalence(t *testing.T) {
 					t.Errorf("%v: packed and scalar reports diverge:\npacked: %+v\nscalar: %+v",
 						s, *packed[i], *scalar[i])
 				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			ran++
+			for _, rep := range scalar {
+				sum.Add(rep.Recovery)
 			}
 		})
 	}

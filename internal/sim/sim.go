@@ -486,11 +486,7 @@ func (m *Machine) newStormState() (*stormState, error) {
 	}
 	surfaces := make([][]faults.RegionSurface, len(st.spms))
 	for i, s := range st.spms {
-		for _, r := range s.Regions() {
-			surfaces[i] = append(surfaces[i], faults.RegionSurface{
-				Words: r.Words(), CodeBits: r.Codec().CodeBits(), Immune: r.Kind().Immune(),
-			})
-		}
+		surfaces[i] = s.StrikeSurface()
 	}
 	var hot []faults.HotWindow
 	for _, w := range inj.HotWindows {

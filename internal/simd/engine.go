@@ -289,12 +289,10 @@ func (e *Engine) runWrite(o *op) {
 }
 
 // runAccessRead replays a checked read on the program access path:
-// corrected lanes count a DRE and repair in place, detected lanes
-// trigger DUE recovery per the block's dirty state and the policy.
+// corrected lanes count a DRE and repair in place, detected lanes go
+// to the recovery policy with the serving block's residency class.
 func (e *Engine) runAccessRead(o *op) {
 	r := int(o.region)
-	rs := &e.sk.regions[r]
-	sk := e.sk
 	for i := 0; i < int(o.words); i++ {
 		w := int(o.word) + i
 		if e.mask[r][w] == 0 {
@@ -306,25 +304,30 @@ func (e *Engine) runAccessRead(o *op) {
 			e.stats[l].CorrectedOnAccess++
 			e.repair(r, w, l)
 		}
-		for m := detected; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			st := &e.stats[l]
-			switch {
-			case !sk.recoveryOn:
-				st.UnrecoveredDUEs++
-			case o.dirty && sk.recovery.DirtyPolicy == spm.DUERollback:
-				st.Rollbacks++
-				st.RecoveryCycles += rs.restore + sk.recovery.RollbackCycles
-				e.clearLane(r, w, l)
-			case o.dirty:
-				st.SDCEscalations++
-			default:
-				// Clean block: the re-fetch rewrites the exact stored
-				// value, so the verify read always succeeds first try.
-				st.RefetchedWords++
-				st.RecoveryCycles += rs.refetch
-				e.clearLane(r, w, l)
-			}
+		if detected != 0 {
+			e.recoverLanes(spm.SiteAccess, o.class, r, w, detected)
+		}
+	}
+}
+
+// recoverLanes applies the recovery policy to the detected lanes of
+// word w: the action, decided once for the word's residency class,
+// bumps each lane's site counter and charges its per-word cycles, and
+// an action that rewrites the word returns the lane to the fault-free
+// codeword. A re-fetch always verifies on its first attempt here:
+// BuildSkeleton refuses wear, so no cell is stuck.
+func (e *Engine) recoverLanes(site spm.DUESite, class byte, r, w int, detected uint64) {
+	sk := e.sk
+	act := sk.action(class)
+	charge := sk.recovery.DUECharge(sk.regions[r].charges, act, true)
+	rewrites := act.Rewrites()
+	for m := detected; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		st := &e.stats[l]
+		*st.DUECounter(site, act, true)++
+		st.RecoveryCycles += charge
+		if rewrites {
+			e.clearLane(r, w, l)
 		}
 	}
 }
@@ -348,18 +351,15 @@ func (e *Engine) runEvictRead(o *op) {
 
 // runScrub replays one background scrub walk using the recorded
 // residency snapshot: corrected words are repaired in place, detected
-// words recover per their residency class at scrub time.
+// words go to the recovery policy with their class at scrub time.
 func (e *Engine) runScrub(o *op) {
 	snap := e.sk.snaps[o.snap]
-	sk := e.sk
-	for r := range snap {
-		classes := snap[r]
+	for r, classes := range snap {
 		if classes == nil {
 			continue
 		}
-		rs := &sk.regions[r]
-		mask := e.mask[r]
-		for w, m := range mask {
+		repair := e.sk.regions[r].charges.Repair
+		for w, m := range e.mask[r] {
 			if m == 0 {
 				continue
 			}
@@ -367,30 +367,11 @@ func (e *Engine) runScrub(o *op) {
 			for cm := corrected; cm != 0; cm &= cm - 1 {
 				l := bits.TrailingZeros64(cm)
 				e.stats[l].ScrubRepairs++
-				e.stats[l].RecoveryCycles += rs.repair
+				e.stats[l].RecoveryCycles += repair
 				e.repair(r, w, l)
 			}
-			for dm := detected; dm != 0; dm &= dm - 1 {
-				l := bits.TrailingZeros64(dm)
-				st := &e.stats[l]
-				switch classes[w] {
-				case spm.ScrubWordClean:
-					st.ScrubRefetches++
-					st.RecoveryCycles += rs.refetch
-					e.clearLane(r, w, l)
-				case spm.ScrubWordDirty:
-					if sk.recovery.DirtyPolicy == spm.DUERollback {
-						st.ScrubRestores++
-						st.RecoveryCycles += rs.restore + sk.recovery.RollbackCycles
-						e.clearLane(r, w, l)
-					} else {
-						st.ScrubDUEs++
-					}
-				default: // ScrubWordFree
-					st.ScrubRestores++
-					st.RecoveryCycles += rs.restore
-					e.clearLane(r, w, l)
-				}
+			if detected != 0 {
+				e.recoverLanes(spm.SiteScrub, classes[w], r, w, detected)
 			}
 		}
 	}
@@ -519,6 +500,3 @@ func (e *Engine) RunBatch(ctx context.Context, seeds []int64, out []TrialResult)
 	}
 	return nil
 }
-
-// Lanes returns the batch capacity.
-func (e *Engine) Lanes() int { return MaxLanes }

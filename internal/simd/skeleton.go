@@ -27,7 +27,6 @@ import (
 
 	"ftspm/internal/ecc"
 	"ftspm/internal/faults"
-	"ftspm/internal/memtech"
 	"ftspm/internal/program"
 	"ftspm/internal/sim"
 	"ftspm/internal/spm"
@@ -53,8 +52,10 @@ const (
 // global across both SPMs: instruction-SPM regions first, in
 // configuration order, then data-SPM regions.
 type op struct {
-	kind  opKind
-	dirty bool // serving block dirty at read time (opAccessRead)
+	kind opKind
+	// class is the serving block's spm.ScrubWord* residency class at
+	// read time (opAccessRead).
+	class byte
 	// region/word/words locate the touched interval (not for opScrub).
 	region int32
 	word   int32
@@ -76,12 +77,9 @@ type regionState struct {
 	words    int
 	codeBits int
 	immune   bool
-	// refetch/restore/repair are the per-word recovery cycle costs,
-	// precomputed from the region's bank and the DRAM timing so the
-	// replay never touches the latency models.
-	refetch memtech.Cycles
-	restore memtech.Cycles
-	repair  memtech.Cycles
+	// charges are the region's per-word recovery costs, taken once
+	// from spm so the replay never touches the latency models.
+	charges spm.WordCharges
 }
 
 // Skeleton is one recorded fault-free trajectory of a (workload,
@@ -111,6 +109,15 @@ type Skeleton struct {
 	iSurf, dSurf []faults.RegionSurface
 	iBits, dBits int
 	iOff, dOff   int // global region index of each surface's region 0
+}
+
+// action returns the recovery action for a DUE word of the given
+// residency class: the spm policy's, or none with recovery off.
+func (sk *Skeleton) action(class byte) spm.RecoveryAction {
+	if !sk.recoveryOn {
+		return spm.RecoverNone
+	}
+	return sk.recovery.DUEAction(class)
 }
 
 // Accesses returns the trace's access-event count (every lane of every
@@ -148,14 +155,14 @@ func (c *ctlRecorder) RecordWrite(region, wordIdx, words int, addrWord uint32) {
 	})
 }
 
-func (c *ctlRecorder) RecordAccessRead(region, wordIdx, words int, dirty bool) {
+func (c *ctlRecorder) RecordAccessRead(region, wordIdx, words int, class byte) {
 	if c.skip(region) {
 		return
 	}
 	c.b.sk.ops = append(c.b.sk.ops, op{
 		kind: opAccessRead, region: int32(c.offset + region),
 		word: int32(wordIdx), words: int32(words),
-		dirty: dirty, atAccess: c.b.access,
+		class: class, atAccess: c.b.access,
 	})
 }
 
@@ -247,26 +254,13 @@ func BuildSkeleton(ctx context.Context, prog *program.Program, cfg sim.Config, e
 				return nil, fmt.Errorf("%w: %s has no lane-parallel classifier", ErrUnsupported, codec.Name())
 			}
 			rs.lanes = lanes
-			bank := r.Bank()
-			word := memtech.WordBytes
-			rs.refetch = cfg.DRAM.FirstWordLatency +
-				bank.AccessLatency(word, true) + bank.AccessLatency(word, false)
-			rs.restore = bank.AccessLatency(word, true)
-			rs.repair = bank.AccessLatency(word, true)
+			rs.charges = r.RecoveryCharges(cfg.DRAM)
 		}
 		sk.regions = append(sk.regions, rs)
 		sk.baseBenign += r.Words()
 	}
-	for _, r := range iRegions {
-		sk.iSurf = append(sk.iSurf, faults.RegionSurface{
-			Words: r.Words(), CodeBits: r.Codec().CodeBits(), Immune: r.Kind().Immune(),
-		})
-	}
-	for _, r := range dRegions {
-		sk.dSurf = append(sk.dSurf, faults.RegionSurface{
-			Words: r.Words(), CodeBits: r.Codec().CodeBits(), Immune: r.Kind().Immune(),
-		})
-	}
+	sk.iSurf = m.InstSPM().StrikeSurface()
+	sk.dSurf = m.DataSPM().StrikeSurface()
 	sk.iBits = faults.SurfaceBits(sk.iSurf)
 	sk.dBits = faults.SurfaceBits(sk.dSurf)
 

@@ -112,6 +112,19 @@ type residency struct {
 	lastUse  uint64
 }
 
+// class returns the residency class (ScrubWord*) of the words res
+// covers; a nil res is free space.
+func (res *residency) class() byte {
+	switch {
+	case res == nil:
+		return ScrubWordFree
+	case res.dirty:
+		return ScrubWordDirty
+	default:
+		return ScrubWordClean
+	}
+}
+
 // Controller implements the on-line phase: it tracks which blocks are
 // resident where, transfers blocks in on first touch (and back out on
 // eviction, when dirty), and routes each program access to the region
@@ -402,7 +415,7 @@ func (c *Controller) Access(id program.BlockID, offset, size int, write bool) (C
 		}
 	} else {
 		if c.rec != nil {
-			c.rec.RecordAccessRead(res.region, wordIdx, words, res.dirty)
+			c.rec.RecordAccessRead(res.region, wordIdx, words, res.class())
 		}
 		var oc ReadOutcome
 		_, accessCycles, oc, err = r.ReadChecked(wordIdx, words)
@@ -413,7 +426,7 @@ func (c *Controller) Access(id program.BlockID, offset, size int, write bool) (C
 				c.noteStormEvidence(res.region, id, uint32(oc.Corrected+len(oc.Detected)))
 			}
 			for _, w := range oc.Detected {
-				cyc, derr := c.recoverDUE(r, res, b.Addr, w)
+				cyc, derr := c.recoverDUE(SiteAccess, r, id, res, w)
 				if derr != nil {
 					return Cost{}, derr
 				}
@@ -731,74 +744,59 @@ func (c *Controller) evictLRU(regionIdx int) (bool, memtech.Cycles, error) {
 	return true, cycles, nil
 }
 
-// recoverDUE handles one detected-uncorrectable word found while
-// serving an access. Clean blocks re-fetch the word from the off-chip
-// copy with bounded retry; dirty blocks escalate per the configured
-// policy. All recovery traffic (DRAM bursts, region rewrites, verify
-// reads) is charged to the returned cycles.
-func (c *Controller) recoverDUE(r *Region, res *residency, blockAddr uint32, w int) (memtech.Cycles, error) {
-	if !c.recoveryOn {
-		c.stats.Recovery.UnrecoveredDUEs++
-		return 0, nil
+// recoverDUE runs the recovery policy on one detected-uncorrectable
+// word w of region r, found at site: res is the residency covering the
+// word (nil for free space) and id its block. It performs the recovery
+// traffic (DRAM bursts, region rewrites, verify reads), bumps the
+// site's counter and returns the action's charge (policy.go).
+func (c *Controller) recoverDUE(site DUESite, r *Region, id program.BlockID, res *residency, w int) (memtech.Cycles, error) {
+	act := RecoverNone
+	if c.recoveryOn {
+		act = c.recovery.DUEAction(res.class())
 	}
-	if res.dirty {
-		if c.recovery.DirtyPolicy == DUERollback {
-			cyc, err := r.RestoreWord(w)
-			if err != nil {
-				return 0, err
-			}
-			c.stats.Recovery.Rollbacks++
-			return cyc + c.recovery.RollbackCycles, nil
-		}
-		c.stats.Recovery.SDCEscalations++
-		return 0, nil
+	repaired := true
+	var err error
+	switch act {
+	case RecoverRefetch:
+		repaired, err = c.refetchWord(r, res, c.blocks[id].Addr, w)
+	case RecoverRollback, RecoverRestore:
+		err = r.RestoreWord(w)
 	}
-	cyc, ok, err := c.refetchWord(r, res, blockAddr, w)
 	if err != nil {
 		return 0, err
 	}
-	if ok {
-		c.stats.Recovery.RefetchedWords++
-	} else {
-		c.stats.Recovery.UnrecoveredDUEs++
-	}
-	return cyc, nil
+	*c.stats.Recovery.DUECounter(site, act, repaired)++
+	return c.recovery.DUECharge(r.RecoveryCharges(c.mem.Config()), act, repaired), nil
 }
 
 // refetchWord re-fetches one word of a clean block from the off-chip
 // image, rewrites it, and verifies the rewrite, retrying up to the
 // configured bound. It reports whether the word decodes cleanly
 // afterwards.
-func (c *Controller) refetchWord(r *Region, res *residency, blockAddr uint32, w int) (memtech.Cycles, bool, error) {
+func (c *Controller) refetchWord(r *Region, res *residency, blockAddr uint32, w int) (bool, error) {
 	c.oneWord[0] = dram.Value(blockAddr/memtech.WordBytes + uint32(w-res.baseWord))
-	var cycles memtech.Cycles
 	for attempt := 0; ; attempt++ {
-		dramCycles, _ := c.mem.Burst(1, false)
-		writeCycles, _, err := r.WriteChecked(w, c.oneWord[:])
-		if err != nil {
-			return 0, false, err
+		c.mem.Burst(1, false)
+		if _, _, err := r.WriteChecked(w, c.oneWord[:]); err != nil {
+			return false, err
 		}
-		_, verifyCycles, oc, err := r.ReadChecked(w, 1)
+		_, _, oc, err := r.ReadChecked(w, 1)
 		if err != nil {
-			return 0, false, err
+			return false, err
 		}
-		cycles += dramCycles + writeCycles + verifyCycles
 		if len(oc.Detected) == 0 {
-			return cycles, true, nil
+			return true, nil
 		}
 		if attempt >= c.recovery.MaxRefetchRetries {
-			return cycles, false, nil
+			return false, nil
 		}
 		c.stats.Recovery.RefetchRetries++
 	}
 }
 
 // runScrub walks every protected region, repairing correctable latent
-// errors in place and recovering detected-uncorrectable words before a
-// second strike can pair with them: clean resident words re-fetch from
-// DRAM, dirty words follow the DUE policy, and free-space words are
-// rewritten from their last stored payload (their content is dead, but
-// clearing the latent error keeps it from surfacing later).
+// errors in place and handing each detected-uncorrectable word to the
+// recovery policy before a second strike can pair with it.
 func (c *Controller) runScrub() (memtech.Cycles, error) {
 	if c.rec != nil {
 		c.rec.RecordScrub(c.scrubClasses())
@@ -814,52 +812,27 @@ func (c *Controller) runScrub() (memtech.Cycles, error) {
 		st.ScrubRepairs += uint64(repaired)
 		cycles += cyc
 		for _, w := range detected {
-			id, res, found := c.residentAt(idx, w)
-			switch {
-			case found && !res.dirty:
-				rcyc, ok, err := c.refetchWord(r, res, c.blocks[id].Addr, w)
-				if err != nil {
-					return 0, err
-				}
-				cycles += rcyc
-				if ok {
-					st.ScrubRefetches++
-				} else {
-					st.ScrubDUEs++
-				}
-			case found && c.recovery.DirtyPolicy == DUERollback:
-				rcyc, err := r.RestoreWord(w)
-				if err != nil {
-					return 0, err
-				}
-				cycles += rcyc + c.recovery.RollbackCycles
-				st.ScrubRestores++
-			case found:
-				st.ScrubDUEs++
-			default:
-				// Free-space word: garbage content, live latent error.
-				rcyc, err := r.RestoreWord(w)
-				if err != nil {
-					return 0, err
-				}
-				cycles += rcyc
-				st.ScrubRestores++
+			id, res := c.residentAt(idx, w)
+			rcyc, err := c.recoverDUE(SiteScrub, r, id, res, w)
+			if err != nil {
+				return 0, err
 			}
+			cycles += rcyc
 		}
 	}
 	return cycles, nil
 }
 
 // residentAt returns the block whose residency covers the given word of
-// the region, if any.
-func (c *Controller) residentAt(regionIdx, word int) (program.BlockID, *residency, bool) {
+// the region, or a nil residency when the word is free.
+func (c *Controller) residentAt(regionIdx, word int) (program.BlockID, *residency) {
 	for i := range c.resident {
 		res := &c.resident[i]
 		if res.live && res.region == regionIdx && word >= res.baseWord && word < res.baseWord+res.words {
-			return program.BlockID(i), res, true
+			return program.BlockID(i), res
 		}
 	}
-	return 0, nil, false
+	return 0, nil
 }
 
 // degrade migrates a block with recurring permanent faults out of its

@@ -27,12 +27,9 @@ func TestPlanStrikeMatchesInjectStrike(t *testing.T) {
 		t.Fatal(err)
 	}
 	regions := s.Regions()
-	surf := make([]faults.RegionSurface, len(regions))
+	surf := s.StrikeSurface()
 	shadow := make([][]uint64, len(regions))
 	for i, r := range regions {
-		surf[i] = faults.RegionSurface{
-			Words: r.Words(), CodeBits: r.Codec().CodeBits(), Immune: r.Kind().Immune(),
-		}
 		shadow[i] = make([]uint64, r.Words())
 	}
 	total := faults.SurfaceBits(surf)

@@ -12,21 +12,6 @@ import "ftspm/internal/memtech"
 // replay (wear-driven write-verify faults, graceful degradation) is
 // flagged through RecordUnsupported so the skeleton build can refuse.
 
-// Scrub word classes reported in a RecordScrub snapshot: what the
-// controller's recovery would find at each word of a protected region
-// when a scrub walk detects an uncorrectable error there.
-const (
-	// ScrubWordFree: no block resides over the word; recovery restores
-	// it from its last stored payload.
-	ScrubWordFree byte = iota
-	// ScrubWordClean: a clean block resides there; recovery re-fetches
-	// the word from the off-chip copy.
-	ScrubWordClean
-	// ScrubWordDirty: a dirty block resides there; recovery follows the
-	// configured dirty-DUE policy.
-	ScrubWordDirty
-)
-
 // OpRecorder observes the codeword-level operations of one controller.
 // Region indices are controller-local (the controller's region order);
 // word indices are absolute within the region. Implementations must not
@@ -37,9 +22,10 @@ type OpRecorder interface {
 	// Word wordIdx+i holds dram.Value(addrWord+i) afterwards.
 	RecordWrite(region, wordIdx, words int, addrWord uint32)
 	// RecordAccessRead is a checked read on the program access path,
-	// with the serving block's dirty state at read time (which decides
-	// the DUE recovery action).
-	RecordAccessRead(region, wordIdx, words int, dirty bool)
+	// with the serving block's residency class at read time
+	// (ScrubWordClean or ScrubWordDirty), which decides the DUE
+	// recovery action.
+	RecordAccessRead(region, wordIdx, words int, class byte)
 	// RecordEvictRead is a checked read whose detection outcome the
 	// controller drops: eviction and unmap write-backs. Corrections
 	// still repair the stored word (scrub-on-read); detections trigger
@@ -75,10 +61,7 @@ func (c *Controller) scrubClasses() [][]byte {
 		if !res.live || classes[res.region] == nil {
 			continue
 		}
-		class := ScrubWordClean
-		if res.dirty {
-			class = ScrubWordDirty
-		}
+		class := res.class()
 		for w := res.baseWord; w < res.baseWord+res.words; w++ {
 			classes[res.region][w] = class
 		}

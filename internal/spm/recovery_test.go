@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftspm/internal/dram"
+	"ftspm/internal/memtech"
 	"ftspm/internal/program"
 )
 
@@ -118,6 +119,35 @@ func TestRefetchRecoversCleanParityDUE(t *testing.T) {
 	}
 	if r.Stats().SilentReads != 0 {
 		t.Error("re-fetched word returned wrong data")
+	}
+}
+
+func TestRefetchDefeatedByStuckCellChargesEveryAttempt(t *testing.T) {
+	// A stuck cell defeats every re-fetch attempt alike: the word stays
+	// a DUE after 1+MaxRefetchRetries attempts, each charged one
+	// WordCharges.Refetch (the charge DUECharge gives a failed re-fetch).
+	rc := DefaultRecovery()
+	rc.ScrubInterval = 0
+	rc.RemapThreshold = 0
+	ctl, p, ids := recoveryFixture(t, rc)
+	stack := ids["Stack"]
+	b, err := p.Block(stack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := ctl.spm.RegionByKind(RegionParity)
+	// Stack maps first, at word 0 of the empty parity region.
+	stickWord(t, r, 0, b.Addr/4)
+	if _, err := ctl.Access(stack, 0, 4, false); err != nil {
+		t.Fatal(err)
+	}
+	st := ctl.Stats().Recovery
+	if st.UnrecoveredDUEs != 1 || st.RefetchedWords != 0 || st.RefetchRetries != uint64(rc.MaxRefetchRetries) {
+		t.Fatalf("stuck-cell re-fetch: %+v", st)
+	}
+	attempts := memtech.Cycles(1 + rc.MaxRefetchRetries)
+	if want := attempts * r.RecoveryCharges(ctl.mem.Config()).Refetch; st.RecoveryCycles != want {
+		t.Errorf("RecoveryCycles = %d, want %d", st.RecoveryCycles, want)
 	}
 }
 

@@ -252,9 +252,6 @@ func (r *Region) Kind() RegionKind { return r.kind }
 // words stay codeword-compatible by construction.
 func (r *Region) Codec() ecc.Codec { return r.codec }
 
-// Bank returns the region's technology parameters.
-func (r *Region) Bank() memtech.Bank { return r.bank }
-
 // SizeBytes returns the region capacity.
 func (r *Region) SizeBytes() int { return len(r.words) * memtech.WordBytes }
 
@@ -612,19 +609,19 @@ func (r *Region) DrainWords(wordIdx, n int) ([]uint32, memtech.Cycles, error) {
 }
 
 // RestoreWord rewrites one word from its golden copy — the simulator's
-// stand-in for a checkpoint restore — charging one word write. Stuck
-// cells stay stuck, so restoring a word with permanent faults may still
-// leave it corrupt.
-func (r *Region) RestoreWord(wordIdx int) (memtech.Cycles, error) {
+// stand-in for a checkpoint restore — charging one word write's energy
+// (its latency is WordCharges.Restore). Stuck cells stay stuck, so
+// restoring a word with permanent faults may still leave it corrupt.
+func (r *Region) RestoreWord(wordIdx int) error {
 	if wordIdx < 0 || wordIdx >= len(r.words) {
-		return 0, fmt.Errorf("%w: word %d of %d", ErrOutOfRange, wordIdx, len(r.words))
+		return fmt.Errorf("%w: word %d of %d", ErrOutOfRange, wordIdx, len(r.words))
 	}
 	r.store(wordIdx, r.golden[wordIdx])
 	r.writes[wordIdx]++
 	r.stats.WriteAccesses++
 	r.stats.WordsWritten++
 	r.stats.Energy += r.bank.AccessEnergy(memtech.WordBytes, true)
-	return r.bank.AccessLatency(memtech.WordBytes, true), nil
+	return nil
 }
 
 // InjectStrike flips a cluster of `multiplicity` adjacent bits in the
@@ -643,24 +640,17 @@ func (r *Region) InjectStrike(rng *rand.Rand, wordIdx, multiplicity int) (bool, 
 	return true, nil
 }
 
-// Scrub decodes every word and rewrites the ones with correctable
+// ScrubWords decodes every word and rewrites the ones with correctable
 // errors, clearing accumulated single-bit upsets before a second strike
 // can turn them into uncorrectable ones. It charges a full-region read
-// plus one write per repaired word and returns the repair/uncorrectable
-// counts. Scrubbing is an extension beyond the paper (its Section VI
-// future-work direction of strengthening the SRAM regions); see
-// experiments.AblationScrubbing for the quantified effect.
-func (r *Region) Scrub() (repaired, uncorrectable int, cycles memtech.Cycles) {
-	rep, detected, cycles := r.ScrubWords()
-	return rep, len(detected), cycles
-}
-
-// ScrubWords is Scrub surfacing the absolute word indices of the
-// uncorrectable words it found, so the controller can recover them
-// (DRAM re-fetch for clean blocks, checkpoint restore otherwise).
-// Retired words are skipped: their cells are out of service. Only
-// suspect words are decoded; a clean word would decode Clean and need
-// nothing, though its read is still charged.
+// plus one write per repaired word and returns the repair count and the
+// absolute word indices of the uncorrectable words it found, so the
+// controller can recover them (recoverDUE). Retired words are skipped:
+// their cells are out of service. Only suspect words are decoded; a
+// clean word would decode Clean and need nothing, though its read is
+// still charged. Scrubbing is an extension beyond the paper (its
+// Section VI future-work direction of strengthening the SRAM regions);
+// see experiments.AblationScrubbing for the quantified effect.
 func (r *Region) ScrubWords() (repaired int, detected []int, cycles memtech.Cycles) {
 	cycles = r.bank.AccessLatency(len(r.words)*memtech.WordBytes, false)
 	r.stats.ReadAccesses++

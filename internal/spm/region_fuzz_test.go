@@ -97,8 +97,7 @@ func fuzzRegionStep(r *Region, rng *rand.Rand, op int) error {
 	case fuzzOpStuckAt:
 		return r.InjectStuckAt(w, rng.Intn(r.codec.CodeBits()), rng.Intn(2) == 1)
 	case fuzzOpRestore:
-		_, err := r.RestoreWord(w)
-		return err
+		return r.RestoreWord(w)
 	case fuzzOpRetire:
 		return r.RetireWord(w)
 	case fuzzOpRead:

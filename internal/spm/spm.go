@@ -142,6 +142,19 @@ func (s *SPM) StoredBits() int {
 	return total
 }
 
+// StrikeSurface returns the geometry strikes land on, one entry per
+// region in configuration order: what faults.PlanStrike and the storm
+// process draw over in place of InjectStrike's live walk.
+func (s *SPM) StrikeSurface() []faults.RegionSurface {
+	surf := make([]faults.RegionSurface, len(s.regions))
+	for i, r := range s.regions {
+		surf[i] = faults.RegionSurface{
+			Words: r.Words(), CodeBits: r.codec.CodeBits(), Immune: r.kind.Immune(),
+		}
+	}
+	return surf
+}
+
 // InjectStrike lands one particle strike on the SPM surface: the struck
 // region is chosen in proportion to its stored code bits (larger banks
 // catch more particles, and a parity word's 33 stored bits weigh less

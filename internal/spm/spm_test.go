@@ -345,18 +345,18 @@ func TestRegionScrub(t *testing.T) {
 	if _, err := r.InjectStrike(rng, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	repaired, uncorrectable, cycles := r.Scrub()
-	if repaired != 1 || uncorrectable != 1 {
-		t.Errorf("Scrub = %d repaired / %d uncorrectable, want 1/1", repaired, uncorrectable)
+	repaired, detected, cycles := r.ScrubWords()
+	if repaired != 1 || len(detected) != 1 || detected[0] != 1 {
+		t.Errorf("ScrubWords = %d repaired / detected %v, want 1 / [1]", repaired, detected)
 	}
 	if cycles == 0 {
 		t.Error("scrub charged no cycles")
 	}
 	// After the scrub, the repaired word is clean; the double flip
 	// remains detected.
-	repaired2, uncorrectable2, _ := r.Scrub()
-	if repaired2 != 0 || uncorrectable2 != 1 {
-		t.Errorf("second Scrub = %d/%d, want 0/1", repaired2, uncorrectable2)
+	repaired2, detected2, _ := r.ScrubWords()
+	if repaired2 != 0 || len(detected2) != 1 {
+		t.Errorf("second ScrubWords = %d/%v, want 0/[1]", repaired2, detected2)
 	}
 	// The repair bumped the word's write counter.
 	if r.WriteCount(0) != 2 {
@@ -369,8 +369,8 @@ func TestSTTRegionScrubIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, uncorrectable, _ := r.Scrub()
-	if repaired != 0 || uncorrectable != 0 {
+	repaired, detected, _ := r.ScrubWords()
+	if repaired != 0 || len(detected) != 0 {
 		t.Error("immune region scrub found errors")
 	}
 }
