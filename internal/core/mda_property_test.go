@@ -53,8 +53,8 @@ func randomProfile(t *testing.T, rng *rand.Rand) *profile.Profile {
 			}
 		}
 		evs = append(evs, trace.AccessEvent(trace.Access{
-			Op: op, Space: space, Addr: b.Addr + uint32(off), Size: size,
-			Think: rng.Intn(3),
+			Op: op, Space: space, Addr: b.Addr + uint32(off), Size: int32(size),
+			Think: rng.Int31n(3),
 		}))
 	}
 	prof, err := profile.Run(p, trace.NewSliceStream(evs))

@@ -215,19 +215,36 @@ func TestSoakWearFallsBackToScalar(t *testing.T) {
 
 // TestSoakWearFallbackCounted pins the wear half of the fallback
 // counter: each structure's packed path declines a wear model once, no
-// matter how many of its trials run, and a forced-scalar campaign
-// (Lanes 1) declines nothing.
+// matter how many of its trials run, a forced-scalar campaign (Lanes 1)
+// declines nothing, and every decline is counted under wear alone.
 func TestSoakWearFallbackCounted(t *testing.T) {
 	opts := SoakOptions{
 		Trials: 3, Scale: 0.02, Seed: 7, StrikesPerAccess: 0.01,
 		Wear: &spm.WearConfig{WriteFailProb: 0.05, MaxWriteRetries: 2, StuckAtProb: 0.02},
 	}
 	structures := []core.Structure{core.StructFTSPM, core.StructPureSRAM, core.StructPureSTT}
-	before := ScalarFallbackCount()
+	before, beforeTotal := ScalarFallbacks(), ScalarFallbackCount()
 	runSoakBothPaths(t, opts, structures)
-	if got := ScalarFallbackCount() - before; got != uint64(len(structures)) {
+	if got := ScalarFallbackCount() - beforeTotal; got != uint64(len(structures)) {
 		t.Errorf("wear soak over %d structures counted %d scalar fallbacks, want %d",
 			len(structures), got, len(structures))
+	}
+	want := FallbackCounts{Wear: uint64(len(structures))}
+	if got := fallbacksSince(before); got != want {
+		t.Errorf("wear soak fallbacks by cause = %+v, want %+v", got, want)
+	}
+}
+
+// fallbacksSince returns the scalar fallbacks counted since before,
+// by cause.
+func fallbacksSince(before FallbackCounts) FallbackCounts {
+	now := ScalarFallbacks()
+	return FallbackCounts{
+		Wear:         now.Wear - before.Wear,
+		Storm:        now.Storm - before.Storm,
+		Adaptive:     now.Adaptive - before.Adaptive,
+		WideCodeword: now.WideCodeword - before.WideCodeword,
+		Other:        now.Other - before.Other,
 	}
 }
 

@@ -119,13 +119,66 @@ func (o SoakOptions) normalize() SoakOptions {
 	return o
 }
 
-// scalarFallbacks counts packed-engine declines that sent soak jobs to
-// the scalar simulator (storm/wear/unsupported configurations),
-// process-wide. Surfaced on ftspmd's /healthz.
-var scalarFallbacks atomic.Uint64
+// FallbackCounts tallies the packed-engine declines that sent soak jobs
+// to the scalar simulator, by cause. Every decline lands in exactly one
+// field.
+type FallbackCounts struct {
+	// Wear, Storm and Adaptive count configurations with a wear model,
+	// a fault storm or adaptive recovery attached.
+	Wear     uint64 `json:"wear"`
+	Storm    uint64 `json:"storm"`
+	Adaptive uint64 `json:"adaptive"`
+	// WideCodeword counts structures whose codewords exceed one lane
+	// word.
+	WideCodeword uint64 `json:"wide_codeword"`
+	// Other counts the remaining declines: a codec without a
+	// lane-parallel classifier, or a recorded operation the packed
+	// replay cannot reproduce.
+	Other uint64 `json:"other"`
+}
 
-// ScalarFallbackCount returns the process-wide scalar-fallback count.
-func ScalarFallbackCount() uint64 { return scalarFallbacks.Load() }
+// Total returns the decline count over all causes.
+func (c FallbackCounts) Total() uint64 {
+	return c.Wear + c.Storm + c.Adaptive + c.WideCodeword + c.Other
+}
+
+// scalarFallbacks holds the process-wide FallbackCounts, surfaced on
+// ftspmd's /healthz.
+var scalarFallbacks struct {
+	wear, storm, adaptive, wideCodeword, other atomic.Uint64
+}
+
+// ScalarFallbacks returns the process-wide scalar-fallback counts by
+// cause.
+func ScalarFallbacks() FallbackCounts {
+	return FallbackCounts{
+		Wear:         scalarFallbacks.wear.Load(),
+		Storm:        scalarFallbacks.storm.Load(),
+		Adaptive:     scalarFallbacks.adaptive.Load(),
+		WideCodeword: scalarFallbacks.wideCodeword.Load(),
+		Other:        scalarFallbacks.other.Load(),
+	}
+}
+
+// ScalarFallbackCount returns the process-wide scalar-fallback count
+// over all causes.
+func ScalarFallbackCount() uint64 { return ScalarFallbacks().Total() }
+
+// fallbackCounter returns the counter of a decline's cause.
+func fallbackCounter(err error) *atomic.Uint64 {
+	switch {
+	case errors.Is(err, simd.ErrWear):
+		return &scalarFallbacks.wear
+	case errors.Is(err, simd.ErrStorm):
+		return &scalarFallbacks.storm
+	case errors.Is(err, simd.ErrAdaptive):
+		return &scalarFallbacks.adaptive
+	case errors.Is(err, simd.ErrWideCodeword):
+		return &scalarFallbacks.wideCodeword
+	default:
+		return &scalarFallbacks.other
+	}
+}
 
 // SoakReport aggregates a soak campaign.
 type SoakReport struct {
@@ -283,12 +336,12 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 	if opts.Wear != nil {
 		// A wear model forks per-trial control flow, which lanes
 		// sharing one trace pass cannot follow.
-		return ps.decline()
+		return ps.decline(simd.ErrWear)
 	}
 	if ps.eng == nil {
 		eng, err := buildPackedEngine(ctx, w, spec, place, events, opts)
 		if errors.Is(err, simd.ErrUnsupported) {
-			return ps.decline()
+			return ps.decline(err)
 		}
 		if err != nil {
 			return soakTrialResult{}, false, err
@@ -302,7 +355,7 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 		var err error
 		res, err = packedBatch(ctx, ps.eng, opts, b*width, width)
 		if errors.Is(err, simd.ErrUnsupported) {
-			return ps.decline()
+			return ps.decline(err)
 		}
 		if err != nil {
 			return soakTrialResult{}, false, err
@@ -313,10 +366,11 @@ func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec cor
 }
 
 // decline latches the packed path off for the structure and counts the
-// one scalar fallback. Callers hold ps.mu and return its result.
-func (ps *packedState) decline() (soakTrialResult, bool, error) {
+// one scalar fallback under the cause err names. Callers hold ps.mu and
+// return its result.
+func (ps *packedState) decline(err error) (soakTrialResult, bool, error) {
 	ps.off = true
-	scalarFallbacks.Add(1)
+	fallbackCounter(err).Add(1)
 	return soakTrialResult{}, false, nil
 }
 

@@ -158,18 +158,15 @@ func Run(prog *program.Program, s trace.Stream) (*Profile, error) {
 	return RunContext(nil, prog, s)
 }
 
-// ctxCheckMask throttles cancellation checks: the context is polled
-// every ctxCheckMask+1 trace events (same cadence as the simulator).
-const ctxCheckMask = 4095
-
 // ErrCanceled wraps the context error when profiling is stopped by
 // cancellation or deadline; errors.Is sees through it to
 // context.Canceled / context.DeadlineExceeded.
 var ErrCanceled = errors.New("profile: canceled")
 
 // RunContext is Run with cooperative cancellation: the trace loop polls
-// ctx every few thousand events and abandons profiling with an error
-// wrapping ErrCanceled once it is done. A nil ctx never cancels.
+// ctx once per batch of trace.BatchLen events (as the simulator does)
+// and abandons profiling with an error wrapping ErrCanceled once it is
+// done. A nil ctx never cancels.
 func RunContext(ctx context.Context, prog *program.Program, s trace.Stream) (*Profile, error) {
 	p := &Profile{
 		prog:   prog,
@@ -199,83 +196,88 @@ func RunContext(ctx context.Context, prog *program.Program, s trace.Stream) (*Pr
 	}
 
 	var events uint64
+	var codeMemo, dataMemo program.BlockMemo
+	buf := make([]trace.Event, trace.BatchLen)
 	for {
-		e, ok := s.Next()
-		if !ok {
+		batch := trace.ReadBatch(s, buf)
+		if len(batch) == 0 {
 			break
 		}
-		events++
-		if ctx != nil && events&ctxCheckMask == 0 {
+		events += uint64(len(batch))
+		for i := range batch {
+			e := &batch[i]
+			switch e.Kind {
+			case trace.KindCall:
+				now++
+				stackDepth += int(e.StackBytes)
+				frames = append(frames, int(e.StackBytes))
+				if curCode.live {
+					bp := &p.Blocks[curCode.id]
+					bp.StackCalls++
+					if stackDepth > bp.MaxStackBytes {
+						bp.MaxStackBytes = stackDepth
+					}
+				}
+			case trace.KindReturn:
+				now++
+				if n := len(frames); n > 0 {
+					stackDepth -= frames[n-1]
+					frames = frames[:n-1]
+				}
+			case trace.KindAccess:
+				a := &e.Access
+				cur, memo := &curData, &dataMemo
+				if a.Space == trace.Code {
+					cur, memo = &curCode, &codeMemo
+				}
+				id, found := memo.Find(prog, a.Addr)
+				if !found {
+					return nil, fmt.Errorf("%w: addr %#x", ErrUnresolvedAccess, a.Addr)
+				}
+				now += memtech.Cycles(a.Think)
+				if !cur.live || cur.id != id {
+					closeActivation(cur)
+					*cur = active{id: id, start: now, live: true}
+					p.Blocks[id].References++
+				}
+				words := memtech.WordsIn(int(a.Size))
+				now += memtech.Cycles(words)
+				bp := &p.Blocks[id]
+				if bp.References == 1 && bp.Reads+bp.Writes == 0 {
+					bp.FirstCycle = now
+				}
+				bp.LastCycle = now
+				if a.Op == trace.Read {
+					bp.Reads++
+					bp.ReadWords += words
+					if a.Space == trace.Data {
+						p.TotalDataReads++
+					}
+				} else {
+					bp.Writes++
+					bp.WriteWords += words
+					if a.Space == trace.Data {
+						p.TotalDataWrites++
+					}
+					if bp.wordWrites == nil {
+						bp.wordWrites = make([]int, memtech.WordsIn(bp.Block.Size))
+					}
+					first := int(a.Addr-bp.Block.Addr) / memtech.WordBytes
+					for w := 0; w < words && first+w < len(bp.wordWrites); w++ {
+						bp.wordWrites[first+w]++
+						if bp.wordWrites[first+w] > bp.MaxWordWrites {
+							bp.MaxWordWrites = bp.wordWrites[first+w]
+						}
+					}
+				}
+			default:
+				return nil, fmt.Errorf("profile: unknown event kind %v", e.Kind)
+			}
+		}
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("%w after %d events: %w", ErrCanceled, events, err)
 			}
-		}
-		switch e.Kind {
-		case trace.KindCall:
-			now++
-			stackDepth += e.StackBytes
-			frames = append(frames, e.StackBytes)
-			if curCode.live {
-				bp := &p.Blocks[curCode.id]
-				bp.StackCalls++
-				if stackDepth > bp.MaxStackBytes {
-					bp.MaxStackBytes = stackDepth
-				}
-			}
-		case trace.KindReturn:
-			now++
-			if n := len(frames); n > 0 {
-				stackDepth -= frames[n-1]
-				frames = frames[:n-1]
-			}
-		case trace.KindAccess:
-			a := e.Access
-			id, found := prog.FindAddr(a.Addr)
-			if !found {
-				return nil, fmt.Errorf("%w: addr %#x", ErrUnresolvedAccess, a.Addr)
-			}
-			now += memtech.Cycles(a.Think)
-			cur := &curData
-			if a.Space == trace.Code {
-				cur = &curCode
-			}
-			if !cur.live || cur.id != id {
-				closeActivation(cur)
-				*cur = active{id: id, start: now, live: true}
-				p.Blocks[id].References++
-			}
-			words := memtech.WordsIn(a.Size)
-			now += memtech.Cycles(words)
-			bp := &p.Blocks[id]
-			if bp.References == 1 && bp.Reads+bp.Writes == 0 {
-				bp.FirstCycle = now
-			}
-			bp.LastCycle = now
-			if a.Op == trace.Read {
-				bp.Reads++
-				bp.ReadWords += words
-				if a.Space == trace.Data {
-					p.TotalDataReads++
-				}
-			} else {
-				bp.Writes++
-				bp.WriteWords += words
-				if a.Space == trace.Data {
-					p.TotalDataWrites++
-				}
-				if bp.wordWrites == nil {
-					bp.wordWrites = make([]int, memtech.WordsIn(bp.Block.Size))
-				}
-				first := int(a.Addr-bp.Block.Addr) / memtech.WordBytes
-				for w := 0; w < words && first+w < len(bp.wordWrites); w++ {
-					bp.wordWrites[first+w]++
-					if bp.wordWrites[first+w] > bp.MaxWordWrites {
-						bp.MaxWordWrites = bp.wordWrites[first+w]
-					}
-				}
-			}
-		default:
-			return nil, fmt.Errorf("profile: unknown event kind %v", e.Kind)
 		}
 	}
 	closeActivation(&curCode)

@@ -240,6 +240,29 @@ func (p *Program) FindAddr(addr uint32) (BlockID, bool) {
 	return 0, false
 }
 
+// BlockMemo remembers the last block an address resolved to, so a run
+// of accesses inside one block skips FindAddr's binary search. Its zero
+// value is empty. Adding a block never moves an existing one, so a memo
+// used with one program never goes stale.
+type BlockMemo struct {
+	base, size uint32
+	id         BlockID
+}
+
+// Find resolves addr exactly as p.FindAddr does, trying the memoized
+// block first and memoizing the block it finds.
+func (m *BlockMemo) Find(p *Program, addr uint32) (BlockID, bool) {
+	if addr-m.base < m.size {
+		return m.id, true
+	}
+	id, ok := p.FindAddr(addr)
+	if ok {
+		b := &p.blocks[id]
+		m.base, m.size, m.id = b.Addr, uint32(b.Size), id
+	}
+	return id, ok
+}
+
 // TotalSize returns the summed footprint in bytes of blocks matching the
 // filter (nil matches all).
 func (p *Program) TotalSize(match func(Block) bool) int {

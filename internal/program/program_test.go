@@ -169,6 +169,28 @@ func TestFindAddrAfterMutation(t *testing.T) {
 	}
 }
 
+// TestBlockMemoMatchesFindAddr: a memoized lookup agrees with FindAddr
+// on every address, in and out of blocks and across block boundaries,
+// whatever block the memo last held.
+func TestBlockMemoMatchesFindAddr(t *testing.T) {
+	p := buildSample(t)
+	var addrs []uint32
+	for _, b := range p.Blocks() {
+		addrs = append(addrs, b.Addr-1, b.Addr, b.Addr+1, b.End()-1, b.End(), b.End()+1)
+	}
+	addrs = append(addrs, 0, 0xffff_ffff)
+	rng := rand.New(rand.NewSource(7))
+	var memo BlockMemo
+	for i := 0; i < 5000; i++ {
+		addr := addrs[rng.Intn(len(addrs))]
+		gotID, gotOK := memo.Find(p, addr)
+		wantID, wantOK := p.FindAddr(addr)
+		if gotOK != wantOK || (wantOK && gotID != wantID) {
+			t.Fatalf("Find(%#x) = %d,%v; FindAddr = %d,%v", addr, gotID, gotOK, wantID, wantOK)
+		}
+	}
+}
+
 func TestTotalSize(t *testing.T) {
 	p := buildSample(t)
 	if got := p.TotalSize(nil); got != 20*1024+1024+2048+2048+512 {

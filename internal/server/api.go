@@ -12,8 +12,8 @@
 //     rejected immediately with 429 and a Retry-After hint — shed,
 //     don't collapse.
 //   - Deadlines: every evaluate carries a deadline propagated via
-//     context into the simulator hot path, which polls it every few
-//     thousand trace events.
+//     context into the simulator hot path, which polls it once per
+//     batch of trace events.
 //   - Panic isolation: a panicking request answers 500 alone; the
 //     process keeps serving.
 //   - Circuit breaker: /readyz trips when the error rate spikes or the
@@ -205,6 +205,8 @@ type StormHealth struct {
 	// ScalarFallbacks counts packed-engine declines that fell back to
 	// the scalar simulator (process-wide, all causes).
 	ScalarFallbacks uint64 `json:"scalar_fallbacks"`
+	// ScalarFallbackCauses splits ScalarFallbacks by cause.
+	ScalarFallbackCauses experiments.FallbackCounts `json:"scalar_fallback_causes"`
 }
 
 // ReadyStatus is the body of GET /readyz.

@@ -128,6 +128,9 @@ func TestStormSoakJobAndHealthCounters(t *testing.T) {
 	if hs.Storm.ScalarFallbacks == 0 {
 		t.Errorf("scalar fallbacks = 0: the packed engine should have declined the storm")
 	}
+	if c := hs.Storm.ScalarFallbackCauses; c.Storm == 0 || c.Total() != hs.Storm.ScalarFallbacks {
+		t.Errorf("scalar fallback causes %+v: want storm > 0 and a sum of %d", c, hs.Storm.ScalarFallbacks)
+	}
 }
 
 // TestJobCancelIsResumable cancels a long soak mid-run: the campaign

@@ -605,9 +605,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		cs := s.cache.Stats()
 		st.Cache = &cs
 	}
+	fallbacks := experiments.ScalarFallbacks()
 	st.Storm = &StormHealth{
-		Jobs:            s.stormJobs.Load(),
-		ScalarFallbacks: experiments.ScalarFallbackCount(),
+		Jobs:                 s.stormJobs.Load(),
+		ScalarFallbacks:      fallbacks.Total(),
+		ScalarFallbackCauses: fallbacks,
 	}
 	writeJSON(w, http.StatusOK, st)
 }

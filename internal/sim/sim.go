@@ -204,6 +204,9 @@ type Machine struct {
 	iCtl   *spm.Controller
 	dCtl   *spm.Controller
 	probe  func() // fired once per access event, before strike injection
+	// iMemo and dMemo hold the last block each address space resolved
+	// to, so consecutive accesses to one block skip the binary search.
+	iMemo, dMemo program.BlockMemo
 }
 
 // ErrNilProgram rejects machine construction without a program image.
@@ -310,22 +313,16 @@ func (m *Machine) Run(s trace.Stream) (Result, error) {
 	return m.run(nil, s, nil)
 }
 
-// ctxCheckMask throttles cancellation checks in the run loop: the
-// context is polled every ctxCheckMask+1 trace events, keeping the
-// steady-state cost of deadline support to one counter test per event
-// (the hot path stays allocation-free; see AllocsPerRun guards).
-const ctxCheckMask = 4095
-
 // ErrCanceled wraps the context error when a run is stopped by
 // cancellation or deadline; errors.Is sees through it to
 // context.Canceled / context.DeadlineExceeded.
 var ErrCanceled = errors.New("sim: run canceled")
 
 // RunContext is Run with cooperative cancellation: the loop polls ctx
-// every few thousand trace events and abandons the run with an error
-// wrapping ErrCanceled and the context's error once it is done. This is
-// the hook that lets a server-side request deadline actually stop
-// simulation work instead of merely abandoning its result.
+// once per batch of trace.BatchLen events and abandons the run with an
+// error wrapping ErrCanceled and the context's error once it is done.
+// This is the hook that lets a server-side request deadline actually
+// stop simulation work instead of merely abandoning its result.
 func (m *Machine) RunContext(ctx context.Context, s trace.Stream) (Result, error) {
 	return m.run(ctx, s, nil)
 }
@@ -361,57 +358,61 @@ func (m *Machine) run(ctx context.Context, s trace.Stream, plan *schedule.Plan) 
 		strikeRNG = rand.New(rand.NewSource(m.cfg.Injection.Seed))
 	}
 	var events uint64
+	buf := make([]trace.Event, trace.BatchLen)
 	for {
-		e, ok := s.Next()
-		if !ok {
+		batch := trace.ReadBatch(s, buf)
+		if len(batch) == 0 {
 			break
 		}
-		events++
-		if ctx != nil && events&ctxCheckMask == 0 {
+		events += uint64(len(batch))
+		for i := range batch {
+			e := &batch[i]
+			switch e.Kind {
+			case trace.KindCall, trace.KindReturn:
+				res.Cycles++
+			case trace.KindAccess:
+				if plan != nil {
+					for planPos < len(plan.Commands) && plan.Commands[planPos].AtAccess <= accessIdx {
+						cycles, err := m.applyCommand(plan.Commands[planPos])
+						if err != nil {
+							return Result{}, err
+						}
+						res.Cycles += cycles
+						planPos++
+					}
+				}
+				accessIdx++
+				if m.probe != nil {
+					m.probe()
+				}
+				if strikeRNG != nil && strikeRNG.Float64() < m.cfg.Injection.StrikesPerAccess {
+					if _, err := m.strikeTarget(strikeRNG).InjectStrike(strikeRNG, m.cfg.Injection.Dist); err != nil {
+						return Result{}, fmt.Errorf("sim: injection: %w", err)
+					}
+					res.InjectedStrikes++
+				}
+				if storm != nil {
+					if err := storm.step(&res); err != nil {
+						return Result{}, err
+					}
+				}
+				a := &e.Access
+				res.Cycles += memtech.Cycles(a.Think)
+				res.ThinkCycles += memtech.Cycles(a.Think)
+				res.Accesses++
+				cycles, err := m.access(a)
+				if err != nil {
+					return Result{}, err
+				}
+				res.Cycles += cycles
+			default:
+				return Result{}, fmt.Errorf("sim: unknown event kind %v", e.Kind)
+			}
+		}
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("%w after %d events: %w", ErrCanceled, events, err)
 			}
-		}
-		switch e.Kind {
-		case trace.KindCall, trace.KindReturn:
-			res.Cycles++
-		case trace.KindAccess:
-			if plan != nil {
-				for planPos < len(plan.Commands) && plan.Commands[planPos].AtAccess <= accessIdx {
-					cycles, err := m.applyCommand(plan.Commands[planPos])
-					if err != nil {
-						return Result{}, err
-					}
-					res.Cycles += cycles
-					planPos++
-				}
-			}
-			accessIdx++
-			if m.probe != nil {
-				m.probe()
-			}
-			if strikeRNG != nil && strikeRNG.Float64() < m.cfg.Injection.StrikesPerAccess {
-				if _, err := m.strikeTarget(strikeRNG).InjectStrike(strikeRNG, m.cfg.Injection.Dist); err != nil {
-					return Result{}, fmt.Errorf("sim: injection: %w", err)
-				}
-				res.InjectedStrikes++
-			}
-			if storm != nil {
-				if err := storm.step(&res); err != nil {
-					return Result{}, err
-				}
-			}
-			a := e.Access
-			res.Cycles += memtech.Cycles(a.Think)
-			res.ThinkCycles += memtech.Cycles(a.Think)
-			res.Accesses++
-			cycles, err := m.access(a)
-			if err != nil {
-				return Result{}, err
-			}
-			res.Cycles += cycles
-		default:
-			return Result{}, fmt.Errorf("sim: unknown event kind %v", e.Kind)
 		}
 	}
 
@@ -575,19 +576,19 @@ func (m *Machine) applyCommand(cmd schedule.Command) (memtech.Cycles, error) {
 
 // access routes one memory access to the SPM controller of its space or,
 // for unmapped blocks, through the cache hierarchy.
-func (m *Machine) access(a trace.Access) (memtech.Cycles, error) {
-	id, ok := m.prog.FindAddr(a.Addr)
+func (m *Machine) access(a *trace.Access) (memtech.Cycles, error) {
+	ctl, l1, memo := m.dCtl, m.dCache, &m.dMemo
+	if a.Space == trace.Code {
+		ctl, l1, memo = m.iCtl, m.iCache, &m.iMemo
+	}
+	id, ok := memo.Find(m.prog, a.Addr)
 	if !ok {
 		return 0, fmt.Errorf("sim: access at %#x outside all blocks", a.Addr)
 	}
 	b := &m.blocks[id]
-	ctl, l1 := m.dCtl, m.dCache
-	if a.Space == trace.Code {
-		ctl, l1 = m.iCtl, m.iCache
-	}
 
 	if ctl.IsMapped(id) {
-		cost, err := ctl.Access(id, int(a.Addr-b.Addr), a.Size, a.Op == trace.Write)
+		cost, err := ctl.Access(id, int(a.Addr-b.Addr), int(a.Size), a.Op == trace.Write)
 		if err == nil {
 			return cost.Cycles, nil
 		}
@@ -600,7 +601,7 @@ func (m *Machine) access(a trace.Access) (memtech.Cycles, error) {
 	}
 
 	// Cache path: array access plus any off-chip fill/write-back.
-	r := l1.Access(a.Addr, a.Size, a.Op == trace.Write)
+	r := l1.Access(a.Addr, int(a.Size), a.Op == trace.Write)
 	cycles := r.Cycles
 	if r.WritebackWords > 0 {
 		c, _ := m.mem.Burst(r.WritebackWords, true)

@@ -62,13 +62,31 @@ func buildEngine(t *testing.T, p float64) (*simd.Skeleton, *simd.Engine) {
 }
 
 // TestBuildSkeletonRejectsWear pins the fallback gate: a wear model
-// forks per-trial control flow, so recording must refuse up front.
+// forks per-trial control flow, so recording must refuse up front, and
+// so must a storm or adaptive recovery, each under its own cause.
 func TestBuildSkeletonRejectsWear(t *testing.T) {
-	cfg, events, w := buildConfig(t, core.StructFTSPM, 0.02)
-	cfg.Wear = &spm.WearConfig{WriteFailProb: 0.01, MaxWriteRetries: 2}
-	_, err := simd.BuildSkeleton(context.Background(), w.Program(), cfg, events)
-	if !errors.Is(err, simd.ErrUnsupported) {
-		t.Fatalf("BuildSkeleton with wear: got %v, want ErrUnsupported", err)
+	ad := spm.DefaultAdaptive()
+	for _, tc := range []struct {
+		name  string
+		set   func(*sim.Config)
+		cause error
+	}{
+		{"wear", func(c *sim.Config) {
+			c.Wear = &spm.WearConfig{WriteFailProb: 0.01, MaxWriteRetries: 2}
+		}, simd.ErrWear},
+		{"storm", func(c *sim.Config) {
+			c.Injection = &sim.InjectionConfig{Dist: faults.Dist40nm, Storm: &faults.StormConfig{}}
+		}, simd.ErrStorm},
+		{"adaptive", func(c *sim.Config) {
+			c.Recovery = &spm.RecoveryConfig{Adaptive: &ad}
+		}, simd.ErrAdaptive},
+	} {
+		cfg, events, w := buildConfig(t, core.StructFTSPM, 0.02)
+		tc.set(&cfg)
+		_, err := simd.BuildSkeleton(context.Background(), w.Program(), cfg, events)
+		if !errors.Is(err, simd.ErrUnsupported) || !errors.Is(err, tc.cause) {
+			t.Fatalf("BuildSkeleton with %s: got %v, want %v", tc.name, err, tc.cause)
+		}
 	}
 }
 

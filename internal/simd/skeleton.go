@@ -38,6 +38,15 @@ import (
 // scalar simulator instead.
 var ErrUnsupported = errors.New("simd: configuration unsupported by the packed engine")
 
+// Declines with a named cause. Each wraps ErrUnsupported; callers that
+// count declines by cause test for these with errors.Is.
+var (
+	ErrWear         = fmt.Errorf("%w: wear model attached", ErrUnsupported)
+	ErrStorm        = fmt.Errorf("%w: storm injection model attached", ErrUnsupported)
+	ErrAdaptive     = fmt.Errorf("%w: adaptive recovery attached", ErrUnsupported)
+	ErrWideCodeword = fmt.Errorf("%w: codewords exceed one lane word", ErrUnsupported)
+)
+
 // opKind enumerates the recorded operation types.
 type opKind uint8
 
@@ -208,19 +217,19 @@ func BuildSkeleton(ctx context.Context, prog *program.Program, cfg sim.Config, e
 		// Wear makes write outcomes stochastic per trial, which forks
 		// the control flow (retries, stuck cells, remaps) — the whole
 		// shared-trajectory argument collapses.
-		return nil, fmt.Errorf("%w: wear model attached", ErrUnsupported)
+		return nil, ErrWear
 	}
 	if cfg.Injection != nil && cfg.Injection.Storm != nil {
 		// Correlated storms emit multi-word events from a stateful
 		// process and couple into the wear scale; the per-lane strike
 		// schedule (faults.PlanStrike) cannot express them.
-		return nil, fmt.Errorf("%w: storm injection model attached", ErrUnsupported)
+		return nil, ErrStorm
 	}
 	if cfg.Recovery != nil && cfg.Recovery.Adaptive != nil {
 		// Adaptive defenses make scrub timing and block placement
 		// depend on each lane's error history, so lanes no longer
 		// share one trajectory.
-		return nil, fmt.Errorf("%w: adaptive recovery attached", ErrUnsupported)
+		return nil, ErrAdaptive
 	}
 	rcfg := cfg
 	rcfg.Injection = nil // the recording run is fault-free by definition
@@ -247,7 +256,7 @@ func BuildSkeleton(ctx context.Context, prog *program.Program, cfg sim.Config, e
 		}
 		if !immune {
 			if rs.codeBits > 64 {
-				return nil, fmt.Errorf("%w: %s codewords exceed one lane word", ErrUnsupported, codec.Name())
+				return nil, fmt.Errorf("%w (%s)", ErrWideCodeword, codec.Name())
 			}
 			lanes, ok := codec.(ecc.LaneClassifier)
 			if !ok {

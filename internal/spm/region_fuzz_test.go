@@ -27,25 +27,34 @@ const (
 	fuzzOpRead
 	fuzzOpScrub
 	fuzzOpAudit
+	fuzzOpRewrite
 	fuzzOpCount
 )
 
 // fuzzKinds are the region kinds FuzzRegionCleanWords picks from.
 var fuzzKinds = []RegionKind{RegionECC, RegionParity, RegionPlain, RegionSTT, RegionDMR}
 
-// FuzzRegionCleanWords drives a region of every kind, wear on, through
-// random sequences of writes, strikes, stuck cells, restores,
-// retirements, reads, scrubs and audits. After every op it checks the
-// clean-word invariant (a word not marked suspect holds exactly the
-// codeword of its golden payload), and it checks every read, scrub and
-// audit against a full decode of the words as they stood before the op:
-// payloads, outcomes, stats, tally and the stored words afterwards.
+// FuzzRegionCleanWords drives a region of every kind, with wear
+// attached when kindSel < 128, through random sequences of writes,
+// strikes, stuck cells, restores, retirements, reads, scrubs, audits and
+// rewrites of golden payloads. After every op it checks the clean-word
+// invariant (a word not marked suspect holds exactly the codeword of its
+// golden payload), and it checks every read, scrub and audit against a
+// full decode of the words as they stood before the op: payloads,
+// outcomes, stats, tally and the stored words afterwards. Without wear,
+// a rewrite is checked against a forced full encode of every word; with
+// wear, it must draw from the wear stream for every word, as the full
+// path does.
 func FuzzRegionCleanWords(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{0, 6, 1, 6, 2, 7, 8, 6, 4, 6})
 	f.Add(uint8(1), int64(2), []byte{0, 0, 2, 6, 7, 3, 8, 4, 6})
 	f.Add(uint8(2), int64(3), []byte{0, 1, 6, 8, 3, 0, 6, 5, 7})
 	f.Add(uint8(3), int64(4), []byte{0, 2, 3, 0, 6, 7, 8, 4, 6})
 	f.Add(uint8(4), int64(5), []byte{0, 1, 2, 6, 7, 8, 5, 6, 4})
+	f.Add(uint8(0), int64(6), []byte{0, 9, 9, 1, 9, 3, 4, 9, 6, 9})
+	f.Add(uint8(128), int64(7), []byte{0, 9, 9, 1, 9, 3, 4, 9, 6, 9})
+	f.Add(uint8(129), int64(8), []byte{0, 9, 2, 9, 7, 9, 3, 9, 6, 8})
+	f.Add(uint8(130), int64(9), []byte{0, 9, 1, 6, 9, 3, 9, 5, 9, 8})
 	f.Fuzz(func(t *testing.T, kindSel uint8, seed int64, ops []byte) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -55,14 +64,19 @@ func FuzzRegionCleanWords(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wear := WearConfig{WriteFailProb: 0.3, MaxWriteRetries: 1, StuckAtProb: 0.05}
-		if err := r.EnableWear(wear, seed); err != nil {
-			t.Fatal(err)
+		var wearSrc *countingSource
+		if kindSel < 128 {
+			wear := WearConfig{WriteFailProb: 0.3, MaxWriteRetries: 1, StuckAtProb: 0.05}
+			if err := r.EnableWear(wear, seed); err != nil {
+				t.Fatal(err)
+			}
+			wearSrc = &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+			r.wear.rng = rand.New(wearSrc)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		checkCleanWords(t, r)
 		for step, op := range ops {
-			if err := fuzzRegionStep(r, rng, int(op)%fuzzOpCount); err != nil {
+			if err := fuzzRegionStep(r, rng, int(op)%fuzzOpCount, wearSrc); err != nil {
 				t.Fatalf("step %d (op %d): %v", step, int(op)%fuzzOpCount, err)
 			}
 			checkCleanWords(t, r)
@@ -70,9 +84,20 @@ func FuzzRegionCleanWords(f *testing.F) {
 	})
 }
 
+// countingSource counts the values drawn from a random source.
+type countingSource struct {
+	src rand.Source64
+	n   int
+}
+
+func (c *countingSource) Int63() int64   { c.n++; return c.src.Int63() }
+func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
+func (c *countingSource) Seed(s int64)   { c.src.Seed(s) }
+
 // fuzzRegionStep applies one op to r with arguments drawn from rng, and
-// for reads, scrubs and audits compares the result with refDecode.
-func fuzzRegionStep(r *Region, rng *rand.Rand, op int) error {
+// for reads, scrubs, audits and rewrites compares the result with
+// refDecode. wearSrc is the wear model's source, nil without wear.
+func fuzzRegionStep(r *Region, rng *rand.Rand, op int, wearSrc *countingSource) error {
 	w := rng.Intn(r.Words())
 	switch op {
 	case fuzzOpWrite:
@@ -130,6 +155,41 @@ func fuzzRegionStep(r *Region, rng *rand.Rand, op int) error {
 			return fmt.Errorf("audit = %+v, full decode gives %+v", got, wantT)
 		}
 		return want.matches(r)
+	case fuzzOpRewrite:
+		n := 1 + rng.Intn(min(8, r.Words()-w))
+		vals := slices.Clone(r.golden[w : w+n])
+		if rng.Intn(4) == 0 {
+			vals[rng.Intn(n)] = rng.Uint32() // a burst mixing a new payload in
+		}
+		if wearSrc != nil {
+			drawn := wearSrc.n
+			if _, _, err := r.WriteChecked(w, vals); err != nil {
+				return err
+			}
+			if got := wearSrc.n - drawn; got < n {
+				return fmt.Errorf("rewrite of %d words under wear drew %d wear values; the full path draws one per word or more", n, got)
+			}
+			return nil
+		}
+		want := refDecode(r)
+		wantCyc, wantFailed := want.write(w, vals)
+		cyc, oc, err := r.WriteChecked(w, vals)
+		if err != nil {
+			return err
+		}
+		if cyc != wantCyc || oc.Retries != 0 || !slices.Equal(oc.Failed, wantFailed) {
+			return fmt.Errorf("rewrite [%d,+%d) = (%d, %+v), full encode gives (%d, failed %v)",
+				w, n, cyc, oc, wantCyc, wantFailed)
+		}
+		if err := want.matches(r); err != nil {
+			return err
+		}
+		for i := range r.words {
+			if r.isSuspect(i) != want.suspect[i] || r.WriteCount(i) != want.writes[i] {
+				return fmt.Errorf("word %d: suspect %v, %d writes; full encode gives %v, %d",
+					i, r.isSuspect(i), r.WriteCount(i), want.suspect[i], want.writes[i])
+			}
+		}
 	}
 	return nil
 }
@@ -138,13 +198,46 @@ func fuzzRegionStep(r *Region, rng *rand.Rand, op int) error {
 // stored words and stats taken before an op, advanced the way the
 // region behaved before the clean-word skip existed.
 type refRegion struct {
-	r     *Region
-	words []ecc.Bits
-	stats RegionStats
+	r       *Region
+	words   []ecc.Bits
+	stats   RegionStats
+	suspect []bool
+	writes  []uint64
 }
 
 func refDecode(r *Region) *refRegion {
-	return &refRegion{r: r, words: append([]ecc.Bits(nil), r.words...), stats: r.stats}
+	m := &refRegion{
+		r:       r,
+		words:   slices.Clone(r.words),
+		stats:   r.stats,
+		suspect: make([]bool, len(r.words)),
+		writes:  slices.Clone(r.writes),
+	}
+	for w := range m.suspect {
+		m.suspect[w] = r.isSuspect(w)
+	}
+	return m
+}
+
+// write is a wear-free write that encodes every word, the region's
+// behaviour before clean rewrites skipped the encode. It returns the
+// latency and the words a stuck cell kept from their codeword.
+func (m *refRegion) write(wordIdx int, vals []uint32) (memtech.Cycles, []int) {
+	var failed []int
+	for i, v := range vals {
+		w := wordIdx + i
+		m.repair(w, v)
+		m.suspect[w] = m.words[w] != m.r.codec.Encode(ecc.BitsFromUint64(uint64(v)))
+		if m.suspect[w] {
+			failed = append(failed, w)
+		}
+		m.writes[w]++
+	}
+	n := len(vals) * memtech.WordBytes
+	m.stats.WriteAccesses++
+	m.stats.WordsWritten += uint64(len(vals))
+	m.stats.Energy += m.r.bank.AccessEnergy(n, true)
+	return m.r.bank.AccessLatency(n, true), failed
 }
 
 // repair stores the codeword of v over word w, honouring stuck cells.

@@ -155,10 +155,11 @@ func parseLine(line string) (Event, error) {
 			return Event{}, fmt.Errorf("%w: bad addr: %v", ErrBadTraceLine, err)
 		}
 		a.Addr = uint32(addr)
-		if a.Size, err = strconv.Atoi(fields[4]); err != nil || a.Size < 1 {
+		var ok bool
+		if a.Size, ok = parseInt32(fields[4], 1); !ok {
 			return Event{}, fmt.Errorf("%w: bad size %q", ErrBadTraceLine, fields[4])
 		}
-		if a.Think, err = strconv.Atoi(fields[5]); err != nil || a.Think < 0 {
+		if a.Think, ok = parseInt32(fields[5], 0); !ok {
 			return Event{}, fmt.Errorf("%w: bad think %q", ErrBadTraceLine, fields[5])
 		}
 		return AccessEvent(a), nil
@@ -166,8 +167,8 @@ func parseLine(line string) (Event, error) {
 		if len(fields) != 2 {
 			return Event{}, fmt.Errorf("%w: want 2 fields, got %d", ErrBadTraceLine, len(fields))
 		}
-		n, err := strconv.Atoi(fields[1])
-		if err != nil || n < 0 {
+		n, ok := parseInt32(fields[1], 0)
+		if !ok {
 			return Event{}, fmt.Errorf("%w: bad frame size %q", ErrBadTraceLine, fields[1])
 		}
 		return CallEvent(n), nil
@@ -176,4 +177,11 @@ func parseLine(line string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("%w: unknown record %q", ErrBadTraceLine, fields[0])
 	}
+}
+
+// parseInt32 parses a decimal field that must lie in [lo, MaxInt32].
+// Values past int32 are rejected, never truncated.
+func parseInt32(field string, lo int32) (int32, bool) {
+	n, err := strconv.ParseInt(field, 10, 32)
+	return int32(n), err == nil && n >= int64(lo)
 }

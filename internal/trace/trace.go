@@ -12,7 +12,7 @@ import (
 )
 
 // Op is the direction of a memory access.
-type Op int
+type Op uint8
 
 // Access directions.
 const (
@@ -37,7 +37,7 @@ func (o Op) Valid() bool { return o == Read || o == Write }
 
 // Space distinguishes instruction fetches from data accesses; the paper's
 // platform has separate instruction and data SPMs (Table IV).
-type Space int
+type Space uint8
 
 // Address spaces.
 const (
@@ -60,24 +60,25 @@ func (s Space) String() string {
 // Valid reports whether s is a known space.
 func (s Space) Valid() bool { return s == Code || s == Data }
 
-// Access is one word-granularity memory reference.
+// Access is one word-granularity memory reference. Fields are ordered
+// widest first so the struct packs into 16 bytes.
 type Access struct {
+	// Addr is the (virtual, off-chip image) byte address touched.
+	Addr uint32
+	// Size is the number of bytes touched, at least 1.
+	Size int32
+	// Think is the number of pure-compute cycles the core spends before
+	// issuing this access; it models the non-memory instructions between
+	// references.
+	Think int32
 	// Op is the direction.
 	Op Op
 	// Space selects the instruction or data side of the hierarchy.
 	Space Space
-	// Addr is the (virtual, off-chip image) byte address touched.
-	Addr uint32
-	// Size is the number of bytes touched, at least 1.
-	Size int
-	// Think is the number of pure-compute cycles the core spends before
-	// issuing this access; it models the non-memory instructions between
-	// references.
-	Think int
 }
 
 // Kind discriminates trace events.
-type Kind int
+type Kind uint8
 
 // Event kinds.
 const (
@@ -103,21 +104,24 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one element of a trace.
+// Event is one element of a trace. It is 24 bytes: the 16-byte Access,
+// the 4-byte frame size and the 1-byte kind, padded to 4-byte alignment.
+// Materialized traces hold millions of events, so the layout is the
+// dominant term of a sweep's memory.
 type Event struct {
-	// Kind discriminates which fields are meaningful.
-	Kind Kind
 	// Access is valid when Kind == KindAccess.
 	Access Access
 	// StackBytes is valid when Kind == KindCall: the callee frame size.
-	StackBytes int
+	StackBytes int32
+	// Kind discriminates which fields are meaningful.
+	Kind Kind
 }
 
 // AccessEvent wraps an access as an event.
 func AccessEvent(a Access) Event { return Event{Kind: KindAccess, Access: a} }
 
 // CallEvent returns a call marker with the given frame size.
-func CallEvent(frameBytes int) Event {
+func CallEvent(frameBytes int32) Event {
 	return Event{Kind: KindCall, StackBytes: frameBytes}
 }
 
@@ -131,13 +135,52 @@ type Stream interface {
 	Next() (Event, bool)
 }
 
+// BatchLen is the most events one ReadBatch call hands out: 6 KB of
+// events, small enough to stay in a core's L1 cache while consumed.
+const BatchLen = 256
+
+// BatchReader is implemented by streams that hand out events in bulk
+// more cheaply than one Next call per event. ReadBatch returns the next
+// events, at most len(buf) of them, in buf or in a window of the
+// stream's own storage; it returns fewer than len(buf) only once the
+// stream is exhausted, and an empty result after that.
+type BatchReader interface {
+	ReadBatch(buf []Event) []Event
+}
+
+// ReadBatch returns the next events of s, at most len(buf) of them; an
+// empty result means s is exhausted. A BatchReader hands out its own
+// batch (a SliceStream a window of its slice, with no copy); any other
+// stream fills buf through Next. The result is valid until the next
+// read from s and must not be modified: it may alias a trace that other
+// streams share. This is the one batched read of the package; the
+// simulator and the profiler consume every trace through it.
+func ReadBatch(s Stream, buf []Event) []Event {
+	if b, ok := s.(BatchReader); ok {
+		return b.ReadBatch(buf)
+	}
+	n := 0
+	for n < len(buf) {
+		e, ok := s.Next()
+		if !ok {
+			break
+		}
+		buf[n] = e
+		n++
+	}
+	return buf[:n]
+}
+
 // SliceStream streams a materialized trace.
 type SliceStream struct {
 	events []Event
 	pos    int
 }
 
-var _ Stream = (*SliceStream)(nil)
+var (
+	_ Stream      = (*SliceStream)(nil)
+	_ BatchReader = (*SliceStream)(nil)
+)
 
 // NewSliceStream returns a stream over a copy of events (the slice is
 // copied so later mutation by the caller cannot corrupt the stream).
@@ -167,6 +210,15 @@ func (s *SliceStream) Next() (Event, bool) {
 	return e, true
 }
 
+// ReadBatch implements BatchReader: it returns a window of the
+// underlying slice, without copying.
+func (s *SliceStream) ReadBatch(buf []Event) []Event {
+	n := min(len(buf), len(s.events)-s.pos)
+	w := s.events[s.pos : s.pos+n : s.pos+n]
+	s.pos += n
+	return w
+}
+
 // Reset rewinds the stream to the beginning.
 func (s *SliceStream) Reset() { s.pos = 0 }
 
@@ -183,7 +235,10 @@ type CountingStream struct {
 	N int
 }
 
-var _ Stream = (*CountingStream)(nil)
+var (
+	_ Stream      = (*CountingStream)(nil)
+	_ BatchReader = (*CountingStream)(nil)
+)
 
 // Next implements Stream.
 func (c *CountingStream) Next() (Event, bool) {
@@ -192,6 +247,13 @@ func (c *CountingStream) Next() (Event, bool) {
 		c.N++
 	}
 	return e, ok
+}
+
+// ReadBatch implements BatchReader, counting the events of each batch.
+func (c *CountingStream) ReadBatch(buf []Event) []Event {
+	b := ReadBatch(c.S, buf)
+	c.N += len(b)
+	return b
 }
 
 // Collect drains a stream into a slice, up to max events (max <= 0 means
@@ -241,17 +303,17 @@ func (s *Stats) observe(e Event) {
 		a := e.Access
 		if a.Op == Read {
 			s.Reads++
-			s.BytesRead += a.Size
+			s.BytesRead += int(a.Size)
 		} else {
 			s.Writes++
-			s.BytesWritten += a.Size
+			s.BytesWritten += int(a.Size)
 		}
 		if a.Space == Code {
 			s.CodeAccesses++
 		} else {
 			s.DataAccesses++
 		}
-		s.ThinkCycles += a.Think
+		s.ThinkCycles += int(a.Think)
 	case KindCall:
 		s.Calls++
 	case KindReturn:
@@ -273,8 +335,8 @@ func Summarize(s Stream) Stats {
 		st.observe(e)
 		switch e.Kind {
 		case KindCall:
-			frames = append(frames, e.StackBytes)
-			depth += e.StackBytes
+			frames = append(frames, int(e.StackBytes))
+			depth += int(e.StackBytes)
 			if depth > st.MaxStackBytes {
 				st.MaxStackBytes = depth
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -122,11 +123,11 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				evs = append(evs, AccessEvent(Access{
 					Op: op, Space: sp,
 					Addr:  rng.Uint32(),
-					Size:  1 + rng.Intn(64),
-					Think: rng.Intn(100),
+					Size:  1 + rng.Int31n(64),
+					Think: rng.Int31n(100),
 				}))
 			case 1:
-				evs = append(evs, CallEvent(rng.Intn(1024)))
+				evs = append(evs, CallEvent(rng.Int31n(1024)))
 			default:
 				evs = append(evs, ReturnEvent())
 			}
@@ -171,6 +172,11 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		"C -5",
 		"C x",
 		"C",
+		// Just past int32: rejected, never truncated.
+		"A R C 10 2147483648 0",
+		"A R C 10 4 2147483648",
+		"C 2147483648",
+		"A R C 10 4294967297 0",
 	}
 	for _, in := range bad {
 		r := NewReader(strings.NewReader(in + "\n"))
@@ -181,6 +187,23 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		if err := r.Err(); !errors.Is(err, ErrBadTraceLine) {
 			t.Errorf("%q: err = %v, want ErrBadTraceLine", in, err)
 		}
+	}
+}
+
+// TestReaderAcceptsInt32Max: the largest size, think and frame values
+// the event fields hold parse exactly.
+func TestReaderAcceptsInt32Max(t *testing.T) {
+	r := NewReader(strings.NewReader("A W D ffffffff 2147483647 2147483647\nC 2147483647\n"))
+	got := Collect(r, 0)
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		AccessEvent(Access{Op: Write, Space: Data, Addr: 0xffffffff, Size: math.MaxInt32, Think: math.MaxInt32}),
+		CallEvent(math.MaxInt32),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
 }
 
@@ -235,9 +258,10 @@ func FuzzReaderNeverPanics(f *testing.F) {
 }
 
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint32(0x1000), 4, 0, true, true)
-	f.Fuzz(func(t *testing.T, addr uint32, size, think int, read, code bool) {
-		if size < 1 || size > 1<<16 || think < 0 || think > 1<<20 {
+	f.Add(uint32(0x1000), int32(4), int32(0), true, true)
+	f.Add(uint32(0xffffffff), int32(math.MaxInt32), int32(math.MaxInt32), false, false)
+	f.Fuzz(func(t *testing.T, addr uint32, size, think int32, read, code bool) {
+		if size < 1 || think < 0 {
 			t.Skip()
 		}
 		a := Access{Op: Write, Space: Data, Addr: addr, Size: size, Think: think}

@@ -198,20 +198,44 @@ type genStream struct {
 	pos      int
 }
 
-var _ trace.Stream = (*genStream)(nil)
+var (
+	_ trace.Stream      = (*genStream)(nil)
+	_ trace.BatchReader = (*genStream)(nil)
+)
 
 // Next implements trace.Stream.
 func (st *genStream) Next() (trace.Event, bool) {
-	for st.pos >= len(st.g.events) {
-		st.g.events = st.g.events[:0]
-		st.pos = 0
-		if !st.advance() {
-			return trace.Event{}, false
-		}
+	if !st.fill() {
+		return trace.Event{}, false
 	}
 	e := st.g.events[st.pos]
 	st.pos++
 	return e, true
+}
+
+// ReadBatch implements trace.BatchReader: it copies whole runs of the
+// activation buffer into buf.
+func (st *genStream) ReadBatch(buf []trace.Event) []trace.Event {
+	n := 0
+	for n < len(buf) && st.fill() {
+		c := copy(buf[n:], st.g.events[st.pos:])
+		st.pos += c
+		n += c
+	}
+	return buf[:n]
+}
+
+// fill refills the consumed activation buffer, reporting false once
+// every segment is exhausted.
+func (st *genStream) fill() bool {
+	for st.pos >= len(st.g.events) {
+		st.g.events = st.g.events[:0]
+		st.pos = 0
+		if !st.advance() {
+			return false
+		}
+	}
+	return true
 }
 
 // advance appends the next activation's events to the generator's
@@ -345,7 +369,7 @@ func (g *generator) emitData(pt rpattern, seg rsegment) {
 	}
 	g.events = append(g.events, trace.AccessEvent(trace.Access{
 		Op: op, Space: trace.Data,
-		Addr: b.Addr + uint32(off), Size: size, Think: think,
+		Addr: b.Addr + uint32(off), Size: int32(size), Think: int32(think),
 	}))
 	g.sinceFetch++
 	if seg.seg.fetchEvery > 0 && g.sinceFetch >= seg.seg.fetchEvery {
@@ -394,7 +418,7 @@ func (g *generator) fetchBurst(seg rsegment) {
 	g.cursor[use.id] = (off + size) % maxOffset(b.Size, size)
 	g.events = append(g.events, trace.AccessEvent(trace.Access{
 		Op: trace.Read, Space: trace.Code,
-		Addr: b.Addr + uint32(off), Size: size, Think: 0,
+		Addr: b.Addr + uint32(off), Size: int32(size), Think: 0,
 	}))
 }
 
@@ -413,7 +437,7 @@ func (g *generator) emitCall(seg rsegment) {
 		return
 	}
 	b := &g.blocks[g.stackID]
-	g.events = append(g.events, trace.CallEvent(use.frameBytes))
+	g.events = append(g.events, trace.CallEvent(int32(use.frameBytes)))
 	touch := use.stackTouch
 	if touch*4 > b.Size {
 		touch = b.Size / 4
