@@ -117,28 +117,53 @@ func evaluateSpec(ctx context.Context, w workloads.Workload, spec core.Spec, pro
 }
 
 // evaluateSpecStream is the shared evaluation body: everything after
-// profiling, consuming the simulated trace from the given stream. The
-// sweep engine passes replay streams over one shared materialized
-// trace; the single-run paths pass fresh generators. Profiles are only
-// read here, so one profile may back any number of concurrent calls.
-// The simulation loop polls ctx for cancellation (nil never cancels).
+// profiling, consuming the simulated trace from the given stream.
+// Profiles are only read here, so one profile may back any number of
+// concurrent calls. The simulation loop polls ctx for cancellation (nil
+// never cancels).
 func evaluateSpecStream(ctx context.Context, w workloads.Workload, spec core.Spec, prof *profile.Profile,
 	st trace.Stream, opts Options) (Outcome, error) {
+	run, err := mapSpec(w, spec, prof, opts)
+	if err != nil {
+		return Outcome{}, err
+	}
+	res, err := run.machine.RunContext(ctx, st)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("experiments: run %s/%v: %w", w.Name, spec.Structure, err)
+	}
+	return run.outcome(res)
+}
+
+// specRun is one structure's evaluation between mapping and
+// accounting: the MDA placement and the machine built on it, waiting
+// for a trace.
+type specRun struct {
+	w       workloads.Workload
+	spec    core.Spec
+	prof    *profile.Profile
+	mapping core.Mapping
+	machine *sim.Machine
+}
+
+// mapSpec maps the profiled workload onto the structure and builds the
+// machine that will execute it.
+func mapSpec(w workloads.Workload, spec core.Spec, prof *profile.Profile, opts Options) (*specRun, error) {
 	opts = opts.normalize()
-	structure := spec.Structure
 	mapping, err := core.MapBlocks(prof, spec, opts.Thresholds, opts.Priority)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: map %s/%v: %w", w.Name, structure, err)
+		return nil, fmt.Errorf("experiments: map %s/%v: %w", w.Name, spec.Structure, err)
 	}
 	machine, err := sim.New(w.Program(), spec.SimConfig(mapping.Placement))
 	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: build %s/%v: %w", w.Name, structure, err)
+		return nil, fmt.Errorf("experiments: build %s/%v: %w", w.Name, spec.Structure, err)
 	}
-	res, err := machine.RunContext(ctx, st)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: run %s/%v: %w", w.Name, structure, err)
-	}
+	return &specRun{w: w, spec: spec, prof: prof, mapping: mapping, machine: machine}, nil
+}
 
+// outcome completes the evaluation from the machine's execution
+// accounting: reliability (AVF) and endurance.
+func (r *specRun) outcome(res sim.Result) (Outcome, error) {
+	w, spec, prof, structure := r.w, r.spec, r.prof, r.spec.Structure
 	mode := avf.ModeUniform
 	if len(spec.DataKinds) > 1 {
 		mode = avf.ModePerBlock
@@ -146,14 +171,14 @@ func evaluateSpecStream(ctx context.Context, w workloads.Workload, spec core.Spe
 	// Occupancy is normalized over the data-SPM surface: the mapping
 	// algorithm distributes data blocks over it, and in the structures
 	// with STT-RAM I-SPMs the instruction side is immune anyway.
-	rep, err := avf.Compute(prof, mapping.Placement, faults.Dist40nm, spec.DSPMBytes(), mode)
+	rep, err := avf.Compute(prof, r.mapping.Placement, faults.Dist40nm, spec.DSPMBytes(), mode)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: avf %s/%v: %w", w.Name, structure, err)
 	}
 
 	var rate float64
-	if _, hasSTT := machine.DataSPM().RegionByKind(spm.RegionSTT); hasSTT {
-		dataRate, err := endurance.MaxCellWriteRate(machine.DataSPM(), res.Cycles, spm.RegionSTT)
+	if _, hasSTT := r.machine.DataSPM().RegionByKind(spm.RegionSTT); hasSTT {
+		dataRate, err := endurance.MaxCellWriteRate(r.machine.DataSPM(), res.Cycles, spm.RegionSTT)
 		if err != nil && !errors.Is(err, endurance.ErrNoExecution) {
 			return Outcome{}, err
 		}
@@ -165,7 +190,7 @@ func evaluateSpecStream(ctx context.Context, w workloads.Workload, spec core.Spe
 		Structure:    structure,
 		Spec:         spec,
 		Profile:      prof,
-		Mapping:      mapping,
+		Mapping:      r.mapping,
 		Sim:          res,
 		AVF:          rep,
 		STTWriteRate: rate,

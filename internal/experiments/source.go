@@ -110,8 +110,9 @@ func (s *JobSource) JobsUncached(ids []string) ([]campaign.Job[json.RawMessage],
 // SetupKey names the once-per-key set-up job id shares with its
 // siblings in this source. Jobs with one key that run from one source
 // set up once, so the fabric coordinator packs placement chunks by it.
-// A sweep job's key is its workload (its trace and profile,
-// sharedWorkload). A soak's costly set-up, the trace and profile in
+// A sweep job's key is its workload (its set-up group,
+// sharedWorkload: one profile and one lockstep simulation of all its
+// structures). A soak's costly set-up, the trace and profile in
 // soakShared, belongs to the whole source, so every soak job has the
 // one key s.Kind and soak chunks fill to the cap: splitting them by
 // structure would only add placements, each repeating that set-up. The
@@ -131,9 +132,8 @@ func (s *JobSource) SetupKey(id string) string {
 	return rest[:i]
 }
 
-// setups counts once-per-key set-ups (a sweep workload's trace and
-// profile, a soak's trace and profile, a soak structure's mapping),
-// process-wide.
+// setups counts once-per-key set-ups (a sweep workload's group, a
+// soak's trace and profile, a soak structure's mapping), process-wide.
 var setups atomic.Uint64
 
 // SetupCount returns the process-wide set-up count.
@@ -157,21 +157,17 @@ func SweepSource(opts Options) (*JobSource, error) {
 		structures: structures,
 	}
 	shares := make([]sharedWorkload, len(suite))
-	for i := range shares {
-		shares[i].remaining.Store(int32(len(structures)))
-	}
-	// Structure-major job order spreads the once-per-workload profiling
-	// over distinct workers instead of serializing them on one
-	// sync.Once. The fabric coordinator regroups the IDs by SetupKey,
-	// so each placement chunk holds whole workloads and sets each up
-	// once.
-	for _, s := range structures {
+	// Structure-major job order spreads the once-per-workload set-ups
+	// over distinct workers instead of queueing a group's siblings behind
+	// it. The fabric coordinator regroups the IDs by SetupKey, so each
+	// placement chunk holds whole workloads and sets each up once.
+	for si, s := range structures {
 		for wi, w := range suite {
-			w, s, sh := w, s, &shares[wi]
+			w, si, sh := w, si, &shares[wi]
 			id := sweepJobID(w.Name, s)
 			src.IDs = append(src.IDs, id)
 			src.runs[id] = func(jctx context.Context) (json.RawMessage, error) {
-				out, err := runSweepJob(jctx, w, s, sh, opts)
+				out, err := runSweepJob(jctx, w, structures, si, sh, opts)
 				if err != nil {
 					return nil, err
 				}

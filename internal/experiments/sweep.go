@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 	"ftspm/internal/profile"
-	"ftspm/internal/trace"
+	"ftspm/internal/sim"
 	"ftspm/internal/workloads"
 )
 
@@ -48,20 +47,87 @@ func RunSweepContext(ctx context.Context, opts Options) (*Sweep, error) {
 	return sw, nil
 }
 
-// sharedWorkload is the once-per-workload state of a sweep: the
-// materialized trace and its profile, computed by whichever worker
-// reaches the workload first and read-shared by the structure runs.
-// remaining counts the structure runs still owing a replay; the last
-// one drops the trace so at most a worker-pool's worth of traces is
-// ever live. (On a resumed sweep, structure runs already journaled
-// never replay, so a partially-resumed workload's trace is retained
-// until the sweep returns — bounded by the suite size.)
+// sharedWorkload is one sweep workload's set-up group: the jobs of all
+// its structures. The first of them to run sets the group up (see
+// setUp) and every job then takes its own outcome from it, once. A
+// second run of a job from the same source, an integrity audit or a
+// retry, never reads back a handed-out outcome: it simulates again on
+// its own, from a fresh trace stream and the group's profile.
 type sharedWorkload struct {
-	once      sync.Once
-	events    []trace.Event
-	prof      *profile.Profile
-	err       error
-	remaining atomic.Int32
+	once sync.Once
+	prof *profile.Profile
+	err  error
+
+	mu   sync.Mutex
+	outs []groupOutcome // one per structure, in the source's order
+}
+
+// groupOutcome is one structure's result from its group's set-up.
+type groupOutcome struct {
+	out   Outcome
+	err   error
+	taken bool
+}
+
+// setUp streams the workload's trace twice and never holds it: once
+// into the profiler, then, after every structure is mapped, once into
+// all the structures' machines in lockstep. It runs detached from any
+// job's context, so one job's deadline can never poison the group for
+// its siblings.
+func (sh *sharedWorkload) setUp(w workloads.Workload, structures []core.Structure, opts Options) {
+	prof, err := profile.Run(w.Program(), w.TraceStream(opts.Scale))
+	if err != nil {
+		sh.err = fmt.Errorf("experiments: profile %s: %w", w.Name, err)
+		return
+	}
+	sh.prof = prof
+	outs := make([]groupOutcome, len(structures))
+	var runs []*specRun
+	var at []int // runs[k] is structure at[k]
+	var machines []*sim.Machine
+	for i, s := range structures {
+		spec, err := core.NewSpec(s)
+		var run *specRun
+		if err == nil {
+			run, err = mapSpec(w, spec, prof, opts)
+		}
+		if err != nil {
+			outs[i].err = fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
+			continue
+		}
+		runs = append(runs, run)
+		at = append(at, i)
+		machines = append(machines, run.machine)
+	}
+	results, errs := sim.RunLockstep(w.TraceStream(opts.Scale), machines)
+	for k, run := range runs {
+		out, err := Outcome{}, errs[k]
+		if err != nil {
+			err = fmt.Errorf("experiments: run %s/%v: %w", w.Name, run.spec.Structure, err)
+		} else {
+			out, err = run.outcome(results[k])
+		}
+		if err != nil {
+			err = fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, run.spec.Structure, err)
+		}
+		outs[at[k]] = groupOutcome{out: out, err: err}
+	}
+	sh.outs = outs
+}
+
+// take hands out structure i's set-up outcome on the first call and
+// reports false on every later one (or when the set-up did not get as
+// far as simulating).
+func (sh *sharedWorkload) take(i int) (groupOutcome, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.outs == nil || sh.outs[i].taken {
+		return groupOutcome{}, false
+	}
+	g := sh.outs[i]
+	// The job owns the outcome now; nothing is left to read back.
+	sh.outs[i] = groupOutcome{taken: true}
+	return g, true
 }
 
 // sweepJobHook, when non-nil, runs at the start of every sweep job —
@@ -99,14 +165,14 @@ func sweepConfigHash(opts Options, suite []workloads.Workload, structures []core
 // RunSweepCampaign evaluates the full suite on all structures as a
 // crash-safe campaign. The profile and trace of each (workload, scale)
 // depend only on the seeded generator, never on the structure, so each
-// workload is profiled exactly once and its trace is materialized
-// exactly once; the (workload, structure) simulations fan out over the
-// bounded worker pool, replaying the shared trace. Results are
-// deterministic regardless of scheduling (every generator is seeded,
-// shared state is read-only, each run owns its machine), and results
-// restored from a checkpoint round-trip bit-exactly through JSON — an
-// interrupted-then-resumed sweep reports byte-identically to an
-// uninterrupted one.
+// workload is one set-up group (sharedWorkload): its trace is generated
+// twice, once for the profiler and once for all its structures'
+// machines in lockstep, and never held whole. The groups fan out over
+// the bounded worker pool. Results are deterministic regardless of
+// scheduling (every generator is seeded, each structure owns its
+// machine), and results restored from a checkpoint round-trip
+// bit-exactly through JSON — an interrupted-then-resumed sweep reports
+// byte-identically to an uninterrupted one.
 //
 // A job that panics or errors fails alone (recorded in the status with
 // its stack) while the rest of the campaign completes. When ctx is
@@ -136,41 +202,37 @@ func RunSweepOn(ctx context.Context, opts Options, exec Executor) (*Sweep, *Camp
 	return sw, status, runErr
 }
 
-// runSweepJob is one (workload, structure) evaluation: share the
-// workload's profile and materialized trace, then simulate. The job
-// context (carrying the per-job deadline) cancels only this job's
-// simulation; the once-per-workload shared profiling runs detached so
-// one job's deadline can never poison the share for its siblings.
-func runSweepJob(ctx context.Context, w workloads.Workload, s core.Structure, sh *sharedWorkload, opts Options) (Outcome, error) {
+// runSweepJob is one (workload, structure) evaluation: set up the
+// workload's group if no sibling has, and take this structure's
+// outcome from it. The job context (carrying the per-job deadline)
+// bounds only a solo re-run; the group set-up runs detached.
+func runSweepJob(ctx context.Context, w workloads.Workload, structures []core.Structure, si int, sh *sharedWorkload, opts Options) (Outcome, error) {
+	s := structures[si]
 	if sweepJobHook != nil {
 		sweepJobHook(w.Name, s)
 	}
 	sh.once.Do(func() {
 		setups.Add(1)
-		sh.events = w.TraceEvents(opts.Scale)
-		sh.prof, sh.err = profile.Run(w.Program(), trace.Replay(sh.events))
-		if sh.err != nil {
-			sh.err = fmt.Errorf("experiments: profile %s: %w", w.Name, sh.err)
-		}
+		sh.setUp(w, structures, opts)
 	})
 	if sh.err != nil {
 		return Outcome{}, sh.err
 	}
 	if sh.prof == nil {
-		// The profiling attempt panicked out of the Once: the panic was
-		// isolated to the job that ran it, but the share is poisoned.
+		// The set-up panicked out of the Once: the panic was isolated to
+		// the job that ran it, but the group is poisoned.
 		return Outcome{}, fmt.Errorf("experiments: profile %s: unavailable (profiling panicked)", w.Name)
+	}
+	if g, ok := sh.take(si); ok {
+		return g.out, g.err
 	}
 	spec, err := core.NewSpec(s)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
 	}
-	out, err := evaluateSpecStream(ctx, w, spec, sh.prof, trace.Replay(sh.events), opts)
+	out, err := evaluateSpecStream(ctx, w, spec, sh.prof, w.TraceStream(opts.Scale), opts)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
-	}
-	if sh.remaining.Add(-1) == 0 {
-		sh.events = nil // last replay done; release the trace
 	}
 	return out, nil
 }

@@ -337,84 +337,167 @@ func (m *Machine) RunWithPlan(s trace.Stream, plan *schedule.Plan) (Result, erro
 }
 
 func (m *Machine) run(ctx context.Context, s trace.Stream, plan *schedule.Plan) (Result, error) {
-	var res Result
-	accessIdx := 0
-	planPos := 0
-	var strikeRNG *rand.Rand
-	var storm *stormState
-	switch {
-	case m.cfg.Injection != nil && m.cfg.Injection.Storm != nil:
-		var err error
-		if storm, err = m.newStormState(); err != nil {
-			return Result{}, err
+	r, err := m.start(plan)
+	if err != nil {
+		return Result{}, err
+	}
+	errs := []error{nil}
+	if err := drive(ctx, s, []*runState{r}, errs); err != nil {
+		return Result{}, err
+	}
+	if errs[0] != nil {
+		return Result{}, errs[0]
+	}
+	return r.finish(), nil
+}
+
+// RunLockstep executes one trace on several machines at once: each
+// batch read from s is fed to every machine in turn, so the trace is
+// generated once for all of them and never held whole. results[i] and
+// errs[i] are machine i's, exactly what machines[i].Run would return on
+// its own copy of the trace; a machine that fails stops there while the
+// others run on. Machines must be distinct.
+func RunLockstep(s trace.Stream, machines []*Machine) (results []Result, errs []error) {
+	results = make([]Result, len(machines))
+	errs = make([]error, len(machines))
+	runs := make([]*runState, len(machines))
+	for i, m := range machines {
+		runs[i], errs[i] = m.start(nil)
+	}
+	_ = drive(nil, s, runs, errs) // a nil context never cancels
+	for i, r := range runs {
+		if errs[i] == nil {
+			results[i] = r.finish()
 		}
-	case m.cfg.Injection != nil && m.cfg.Injection.StrikesPerAccess > 0:
-		if err := m.cfg.Injection.Dist.Validate(); err != nil {
-			return Result{}, fmt.Errorf("sim: injection: %w", err)
+	}
+	return results, errs
+}
+
+// drive reads s batch by batch and feeds each batch to every run that
+// has no error in errs yet, recording a run's failure there. It stops
+// once s is exhausted or every run has failed. It polls ctx once per
+// batch (nil never cancels) and returns an error wrapping ErrCanceled
+// once ctx is done. A single run is the one-run case.
+func drive(ctx context.Context, s trace.Stream, runs []*runState, errs []error) error {
+	live := 0
+	for _, err := range errs {
+		if err == nil {
+			live++
 		}
-		if !m.cfg.Injection.Target.Valid() {
-			return Result{}, fmt.Errorf("sim: injection: unknown target %d", int(m.cfg.Injection.Target))
-		}
-		strikeRNG = rand.New(rand.NewSource(m.cfg.Injection.Seed))
 	}
 	var events uint64
 	buf := make([]trace.Event, trace.BatchLen)
-	for {
+	for live > 0 {
 		batch := trace.ReadBatch(s, buf)
 		if len(batch) == 0 {
 			break
 		}
 		events += uint64(len(batch))
-		for i := range batch {
-			e := &batch[i]
-			switch e.Kind {
-			case trace.KindCall, trace.KindReturn:
-				res.Cycles++
-			case trace.KindAccess:
-				if plan != nil {
-					for planPos < len(plan.Commands) && plan.Commands[planPos].AtAccess <= accessIdx {
-						cycles, err := m.applyCommand(plan.Commands[planPos])
-						if err != nil {
-							return Result{}, err
-						}
-						res.Cycles += cycles
-						planPos++
-					}
-				}
-				accessIdx++
-				if m.probe != nil {
-					m.probe()
-				}
-				if strikeRNG != nil && strikeRNG.Float64() < m.cfg.Injection.StrikesPerAccess {
-					if _, err := m.strikeTarget(strikeRNG).InjectStrike(strikeRNG, m.cfg.Injection.Dist); err != nil {
-						return Result{}, fmt.Errorf("sim: injection: %w", err)
-					}
-					res.InjectedStrikes++
-				}
-				if storm != nil {
-					if err := storm.step(&res); err != nil {
-						return Result{}, err
-					}
-				}
-				a := &e.Access
-				res.Cycles += memtech.Cycles(a.Think)
-				res.ThinkCycles += memtech.Cycles(a.Think)
-				res.Accesses++
-				cycles, err := m.access(a)
-				if err != nil {
-					return Result{}, err
-				}
-				res.Cycles += cycles
-			default:
-				return Result{}, fmt.Errorf("sim: unknown event kind %v", e.Kind)
+		for i, r := range runs {
+			if errs[i] != nil {
+				continue
+			}
+			if errs[i] = r.feed(batch); errs[i] != nil {
+				live--
 			}
 		}
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("%w after %d events: %w", ErrCanceled, events, err)
+				return fmt.Errorf("%w after %d events: %w", ErrCanceled, events, err)
 			}
 		}
 	}
+	return nil
+}
+
+// runState is one machine's progress through one trace: the running
+// Result plus the plan, injection and storm cursors. The event loop is
+// feed, called batch by batch by drive.
+type runState struct {
+	m         *Machine
+	res       Result
+	plan      *schedule.Plan
+	planPos   int
+	accessIdx int
+	strikeRNG *rand.Rand
+	storm     *stormState
+}
+
+// start validates the machine's injection settings and opens a run.
+func (m *Machine) start(plan *schedule.Plan) (*runState, error) {
+	r := &runState{m: m, plan: plan}
+	switch {
+	case m.cfg.Injection != nil && m.cfg.Injection.Storm != nil:
+		var err error
+		if r.storm, err = m.newStormState(); err != nil {
+			return nil, err
+		}
+	case m.cfg.Injection != nil && m.cfg.Injection.StrikesPerAccess > 0:
+		if err := m.cfg.Injection.Dist.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: injection: %w", err)
+		}
+		if !m.cfg.Injection.Target.Valid() {
+			return nil, fmt.Errorf("sim: injection: unknown target %d", int(m.cfg.Injection.Target))
+		}
+		r.strikeRNG = rand.New(rand.NewSource(m.cfg.Injection.Seed))
+	}
+	return r, nil
+}
+
+// feed executes one batch of events.
+func (r *runState) feed(batch []trace.Event) error {
+	m, res, plan := r.m, &r.res, r.plan
+	for i := range batch {
+		e := &batch[i]
+		switch e.Kind {
+		case trace.KindCall, trace.KindReturn:
+			res.Cycles++
+		case trace.KindAccess:
+			if plan != nil {
+				for r.planPos < len(plan.Commands) && plan.Commands[r.planPos].AtAccess <= r.accessIdx {
+					cycles, err := m.applyCommand(plan.Commands[r.planPos])
+					if err != nil {
+						return err
+					}
+					res.Cycles += cycles
+					r.planPos++
+				}
+			}
+			r.accessIdx++
+			if m.probe != nil {
+				m.probe()
+			}
+			if r.strikeRNG != nil && r.strikeRNG.Float64() < m.cfg.Injection.StrikesPerAccess {
+				if _, err := m.strikeTarget(r.strikeRNG).InjectStrike(r.strikeRNG, m.cfg.Injection.Dist); err != nil {
+					return fmt.Errorf("sim: injection: %w", err)
+				}
+				res.InjectedStrikes++
+			}
+			if r.storm != nil {
+				if err := r.storm.step(res); err != nil {
+					return err
+				}
+			}
+			a := &e.Access
+			res.Cycles += memtech.Cycles(a.Think)
+			res.ThinkCycles += memtech.Cycles(a.Think)
+			res.Accesses++
+			cycles, err := m.access(a)
+			if err != nil {
+				return err
+			}
+			res.Cycles += cycles
+		default:
+			return fmt.Errorf("sim: unknown event kind %v", e.Kind)
+		}
+	}
+	return nil
+}
+
+// finish closes the run: the end-of-program cache flush and the
+// energy, cache, DRAM and region accounting.
+func (r *runState) finish() Result {
+	m, res := r.m, r.res
 
 	// Drain dirty cache lines so every structure has written its state
 	// back (end-of-program flush, charged to the run).
@@ -448,7 +531,7 @@ func (m *Machine) run(ctx context.Context, s trace.Stream, plan *schedule.Plan) 
 		agg.SilentReads += st.SilentReads
 		res.DataRegionStats[r.Kind()] = agg
 	}
-	return res, nil
+	return res
 }
 
 // stormState drives one run's correlated fault storm: the

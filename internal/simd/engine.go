@@ -9,6 +9,7 @@ import (
 	"ftspm/internal/dram"
 	"ftspm/internal/ecc"
 	"ftspm/internal/faults"
+	"ftspm/internal/rng"
 	"ftspm/internal/sim"
 	"ftspm/internal/spm"
 )
@@ -69,8 +70,8 @@ type Engine struct {
 
 	// The strike planner's stream, one for all lanes (they are planned
 	// one after another), and rng over it for the per-strike draws.
-	// thresh is strikeThreshold(StrikesPerAccess).
-	stream *stream
+	// thresh is rng.Float64Threshold(StrikesPerAccess).
+	stream *rng.Source
 	rng    *rand.Rand
 	thresh uint64
 	sched  [MaxLanes][]strike
@@ -111,9 +112,9 @@ func NewEngine(sk *Skeleton, inj Injection) (*Engine, error) {
 		e.golden[i] = make([]uint32, rs.words)
 		e.zero[i] = rs.codec.Encode(ecc.BitsFromUint64(0)).Uint64()
 	}
-	e.stream = newStream()
+	e.stream = rng.New(0)
 	e.rng = rand.New(e.stream)
-	e.thresh = strikeThreshold(inj.StrikesPerAccess)
+	e.thresh = rng.Float64Threshold(inj.StrikesPerAccess)
 	return e, nil
 }
 
@@ -151,35 +152,28 @@ func (e *Engine) reset(lanes int) {
 // draw sequence of the scalar injection path over the whole run: the
 // struck surface is static, so strike placement is independent of the
 // fault state. Immune-absorbed strikes are counted but not scheduled.
-//
-// The scalar path draws rng.Float64() < p per access. Here an Int63
-// draw x decides the same: x < thresh strikes, x >= resampleAt is the
-// draw Float64 discards and redraws for the same access, and anything
-// in between is a quiet access. One unsigned compare finds the next
-// draw outside the quiet range, so quiet runs are skipped a block at a
-// time.
 func (e *Engine) plan(l int, seed int64) {
+	e.stream.Seed(seed)
+	e.scan(l)
+}
+
+// scan plans lane l from the stream's current position. The scalar
+// path draws rng.Float64() < p per access. Here an Int63 draw x decides
+// the same: x < thresh strikes, x >= rng.ResampleAt is the draw Float64
+// discards and redraws for the same access, and anything in between is
+// a quiet access. SkipRange finds the next draw outside the quiet range
+// with one compare per draw, so quiet runs are skipped a block at a
+// time.
+func (e *Engine) scan(l int) {
 	st := e.stream
-	st.Seed(seed)
 	sched := e.sched[l][:0]
 	n := e.sk.accesses
-	t, quiet := e.thresh, uint64(resampleAt)-e.thresh
-	vec := &st.vec
+	t, quiet := e.thresh, uint64(rng.ResampleAt)-e.thresh
 	for a := uint64(1); a <= n; {
-		if st.pos == lagLong {
-			st.refill()
+		if a += st.SkipRange(t, quiet, n-a+1); a > n {
+			break
 		}
-		i := st.pos
-		for i < lagLong && vec[i]&int63Mask-t < quiet {
-			i++
-		}
-		a += uint64(i - st.pos)
-		st.pos = i
-		if i == lagLong || a > n {
-			continue
-		}
-		st.pos++
-		if vec[i]&int63Mask >= resampleAt {
+		if uint64(st.Int63()) >= rng.ResampleAt {
 			continue
 		}
 		e.strikes[l]++

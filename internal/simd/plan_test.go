@@ -6,64 +6,9 @@ import (
 	"testing"
 
 	"ftspm/internal/faults"
+	"ftspm/internal/rng"
 	"ftspm/internal/sim"
 )
-
-// TestStreamMatchesMathRand: the block replay yields exactly the values
-// of rand.NewSource over several refills, through both Source64
-// methods and through a rand.Rand, and a reseed of a used stream
-// (mid-block) starts over cleanly.
-func TestStreamMatchesMathRand(t *testing.T) {
-	st := newStream()
-	for _, seed := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1} {
-		st.Seed(seed)
-		ref := rand.NewSource(seed).(rand.Source64)
-		for n := 0; n < 6*lagLong+100; n++ {
-			var got, want uint64
-			if n%3 == 2 {
-				got, want = uint64(st.Int63()), uint64(ref.Int63())
-			} else {
-				got, want = st.Uint64(), ref.Uint64()
-			}
-			if got != want {
-				t.Fatalf("seed %d, output %d: got %#x, want %#x", seed, n, got, want)
-			}
-		}
-	}
-
-	st.Seed(7)
-	got, want := rand.New(st), rand.New(rand.NewSource(7))
-	for n := 0; n < 3*lagLong; n++ {
-		if g, w := got.Float64(), want.Float64(); g != w {
-			t.Fatalf("Float64 %d: got %v, want %v", n, g, w)
-		}
-		if g, w := got.Intn(1000+n), want.Intn(1000+n); g != w {
-			t.Fatalf("Intn %d: got %d, want %d", n, g, w)
-		}
-	}
-}
-
-// TestStrikeThreshold: thresh is the exact integer image of the
-// Float64() < p test, and resampleAt is the least draw Float64 rounds
-// to 1.0.
-func TestStrikeThreshold(t *testing.T) {
-	const two63 = 1 << 63
-	if resampleAt != two63-512 {
-		t.Fatalf("resampleAt = %d, want 2^63-512", uint64(resampleAt))
-	}
-	if float64(uint64(resampleAt))/two63 != 1 || float64(uint64(resampleAt-1))/two63 >= 1 {
-		t.Errorf("2^63-512 is not the least Int63 that Float64 rounds to 1.0")
-	}
-	for _, p := range []float64{0, 1e-12, 0.01, 0.1, 0.5, 1} {
-		th := strikeThreshold(p)
-		if th > 0 && !(float64(th-1)/two63 < p) {
-			t.Errorf("p=%g: threshold %d - 1 maps to %v, not below p", p, th, float64(th-1)/two63)
-		}
-		if !(p <= float64(th)/two63) {
-			t.Errorf("p=%g: threshold %d maps to %v, below p", p, th, float64(th)/two63)
-		}
-	}
-}
 
 // planEngine builds an engine over a hand-made strike surface: an
 // instruction SPM region and a data SPM with an immune region, struck
@@ -99,12 +44,12 @@ func referencePlan(e *Engine, rng *rand.Rand) (sched []strike, strikes uint64) {
 	return sched, strikes
 }
 
-// checkPlan plans lane 0 from seed and compares it with the reference
+// checkPlan plans lane 0 with plan and compares it with the reference
 // loop over ref.
-func checkPlan(t *testing.T, e *Engine, seed int64, ref *rand.Rand) {
+func checkPlan(t *testing.T, e *Engine, plan func(l int), ref *rand.Rand) {
 	t.Helper()
 	e.strikes[0] = 0
-	e.plan(0, seed)
+	plan(0)
 	want, wantStrikes := referencePlan(e, ref)
 	got := e.sched[0]
 	if e.strikes[0] != wantStrikes || len(got) != len(want) {
@@ -118,35 +63,38 @@ func checkPlan(t *testing.T, e *Engine, seed int64, ref *rand.Rand) {
 	}
 }
 
-// replaySource is a rand.Source64 that starts with crafted values and
-// continues by the lagged-Fibonacci recurrence, computed from its
-// definition over the whole history. Seed rewinds it.
-type replaySource struct {
-	hist []uint64
+// plantedSource is a rand.Source64 serving planted values in order.
+type plantedSource struct {
+	vals []uint64
 	pos  int
 }
 
-func (r *replaySource) Seed(int64) { r.pos = 0 }
+func (s *plantedSource) Seed(int64) { s.pos = 0 }
 
-func (r *replaySource) Uint64() uint64 {
-	for r.pos >= len(r.hist) {
-		n := len(r.hist)
-		r.hist = append(r.hist, r.hist[n-lagLong]+r.hist[n-lagShort])
-	}
-	r.pos++
-	return r.hist[r.pos-1]
+func (s *plantedSource) Uint64() uint64 {
+	v := s.vals[s.pos]
+	s.pos++
+	return v
 }
 
-func (r *replaySource) Int63() int64 { return int64(r.Uint64() & int63Mask) }
+func (s *plantedSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+
+// plantedStream starts with the planted block and continues by the
+// lagged-Fibonacci recurrence.
+func plantedStream(block []uint64) *rng.Source {
+	s := new(rng.Source)
+	s.SeedFrom(&plantedSource{vals: block})
+	return s
+}
 
 // craftedBlock is a first block of quiet draws for threshold th with
-// the boundary values planted: th-1 and th, resampleAt-1 and
-// resampleAt, masked values with the top bit set, a run of draws
+// the boundary values planted: th-1 and th, rng.ResampleAt-1 and
+// rng.ResampleAt, masked values with the top bit set, a run of draws
 // Float64 discards, and both a strike and a discarded draw at the end
 // of the block so the draws that follow cross a refill.
 func craftedBlock(th uint64) []uint64 {
-	vals := make([]uint64, lagLong)
-	quiet := uint64(resampleAt) - th
+	vals := make([]uint64, rng.LongLag)
+	quiet := uint64(rng.ResampleAt) - th
 	x := uint64(0x9e3779b97f4a7c15)
 	for i := range vals {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -157,15 +105,15 @@ func craftedBlock(th uint64) []uint64 {
 	// Accesses 1..50 are quiet, then 20 discarded draws, then a strike
 	// at access 51 (the resample check below relies on this layout).
 	for i := 50; i < 70; i++ {
-		vals[i] = resampleAt + uint64(i)
+		vals[i] = rng.ResampleAt + uint64(i)
 	}
 	vals[70] = th - 1
-	for i, v := range []uint64{th, resampleAt - 1, resampleAt, th - 1, 1<<64 - 1, 1<<63 | (th - 1), 1<<63 | th, resampleAt} {
+	for i, v := range []uint64{th, rng.ResampleAt - 1, rng.ResampleAt, th - 1, 1<<64 - 1, 1<<63 | (th - 1), 1<<63 | th, rng.ResampleAt} {
 		vals[200+10*i] = v
 	}
-	vals[lagLong-3] = th - 1
-	vals[lagLong-2] = resampleAt
-	vals[lagLong-1] = 1<<64 - 1
+	vals[rng.LongLag-3] = th - 1
+	vals[rng.LongLag-2] = rng.ResampleAt
+	vals[rng.LongLag-1] = 1<<64 - 1
 	return vals
 }
 
@@ -178,19 +126,19 @@ func TestPlanMatchesReferenceLoop(t *testing.T) {
 		if p == 0.01 {
 			// The layout really takes Float64's resample branch: the 51st
 			// Float64 is a strike read from the 71st value.
-			src := &replaySource{hist: craftedBlock(e.thresh)}
-			rng := rand.New(src)
+			src := &plantedSource{vals: craftedBlock(e.thresh)}
+			r := rand.New(src)
 			for a := 1; a <= 50; a++ {
-				if rng.Float64() < p {
+				if r.Float64() < p {
 					t.Fatalf("crafted access %d strikes", a)
 				}
 			}
-			if rng.Float64() >= p || src.pos != 71 {
+			if r.Float64() >= p || src.pos != 71 {
 				t.Fatalf("crafted access 51 read %d values, want 71 ending in a strike", src.pos)
 			}
 		}
-		e.stream.seeder = &replaySource{hist: craftedBlock(e.thresh)}
-		checkPlan(t, e, 0, rand.New(&replaySource{hist: craftedBlock(e.thresh)}))
+		e.stream.SeedFrom(&plantedSource{vals: craftedBlock(e.thresh)})
+		checkPlan(t, e, e.scan, rand.New(plantedStream(craftedBlock(e.thresh))))
 	}
 }
 
@@ -209,6 +157,6 @@ func FuzzStrikePlan(f *testing.F) {
 			t.Skip("strikes are planned only for p > 0")
 		}
 		e := planEngine(t, p, uint64(accesses%100_000))
-		checkPlan(t, e, seed, rand.New(rand.NewSource(seed)))
+		checkPlan(t, e, func(l int) { e.plan(l, seed) }, rand.New(rand.NewSource(seed)))
 	})
 }

@@ -12,9 +12,8 @@
 package workloads
 
 import (
-	"math/rand"
-
 	"ftspm/internal/program"
+	"ftspm/internal/rng"
 	"ftspm/internal/trace"
 )
 
@@ -117,23 +116,43 @@ func (s spec) generate(p *program.Program, scale float64) []trace.Event {
 	return st.g.events
 }
 
-// rpattern, rcodeUse, and rsegment are spec shapes with the block names
-// resolved to IDs once at stream construction, so the per-event hot
-// path indexes dense slices instead of hashing names.
+// rpattern, rcodeUse, and rsegment are spec shapes resolved once at
+// stream construction: block names become IDs, and every size, modulus,
+// weight total and Intn bound the per-event path needs is precomputed,
+// so that path indexes dense slices and does no division it can avoid.
 type rpattern struct {
 	pattern
-	id program.BlockID
+	id   program.BlockID
+	addr uint32
+	size int // bytes per access
+	// span is the number of valid start offsets, maxOffset(block, size):
+	// the sequential cursor's modulus and the random offset's bound.
+	span    int
+	offset  rng.Bound // Intn(span)
+	runDraw rng.Bound // Intn(2*runLen)
 }
 
 type rcodeUse struct {
 	codeUse
-	id program.BlockID
+	id    program.BlockID
+	addr  uint32
+	fetch int // bytes per fetch burst
+	span  int // maxOffset(block, fetch)
+	// frame is the whole call of this code block: the call marker, the
+	// spill writes, the reloads and the return (nil for leaf code or
+	// without a stack block).
+	frame []trace.Event
 }
 
 type rsegment struct {
-	seg      segment // scalar knobs: callEvery, think, fetchEvery, fetchWords
+	seg      segment // scalar knobs: callEvery, think, fetchEvery
 	patterns []rpattern
 	code     []rcodeUse
+	// patternW and codeW are the weight totals of the pick loops,
+	// summed in spec order as the loops subtract them.
+	patternW, codeW float64
+	think           rng.Bound // Intn(2*think+1), when think > 0
+	callee          rng.Bound // Intn(len(code)), when calls are made
 }
 
 // stream returns a pull-based generator over the spec's trace at the
@@ -149,8 +168,7 @@ func (s spec) stream(p *program.Program, scale float64) *genStream {
 	if total < 1 {
 		total = 1
 	}
-	counts := make([]int, len(s.segments))
-	rsegs := make([]rsegment, len(s.segments))
+	blocks := p.Blocks()
 	mustID := func(name string) program.BlockID {
 		id, ok := p.Lookup(name)
 		if !ok {
@@ -158,37 +176,92 @@ func (s spec) stream(p *program.Program, scale float64) *genStream {
 		}
 		return id
 	}
+	// A spec without a (known) stack block simply emits no call frames,
+	// matching the lookup-and-skip of earlier versions.
+	stack, hasStack := p.Lookup(s.stack)
+	counts := make([]int, len(s.segments))
+	rsegs := make([]rsegment, len(s.segments))
 	for i, seg := range s.segments {
 		n := int(float64(total) * seg.share)
 		if n < 1 {
 			n = 1
 		}
 		counts[i] = n
-		rs := rsegment{seg: seg}
+		rs := &rsegs[i]
+		rs.seg = seg
 		for _, pt := range seg.patterns {
-			rs.patterns = append(rs.patterns, rpattern{pattern: pt, id: mustID(pt.block)})
+			id := mustID(pt.block)
+			b := blocks[id]
+			size := pt.burstWords * 4
+			if size <= 0 {
+				size = 4
+			}
+			size = min(size, b.Size)
+			span := maxOffset(b.Size, size)
+			rs.patterns = append(rs.patterns, rpattern{
+				pattern: pt, id: id, addr: b.Addr, size: size, span: span,
+				offset: rng.NewBound(span), runDraw: rng.NewBound(2 * pt.runLen),
+			})
+			rs.patternW += pt.weight
+		}
+		words := seg.fetchWords
+		if words <= 0 {
+			words = 8
 		}
 		for _, c := range seg.code {
-			rs.code = append(rs.code, rcodeUse{codeUse: c, id: mustID(c.block)})
+			id := mustID(c.block)
+			b := blocks[id]
+			fetch := min(words*4, b.Size)
+			rc := rcodeUse{codeUse: c, id: id, addr: b.Addr, fetch: fetch, span: maxOffset(b.Size, fetch)}
+			if c.frameBytes != 0 && hasStack {
+				rc.frame = callFrame(blocks[stack], c)
+			}
+			rs.code = append(rs.code, rc)
+			rs.codeW += c.weight
 		}
-		rsegs[i] = rs
+		if seg.think > 0 {
+			rs.think = rng.NewBound(2*seg.think + 1)
+		}
+		if seg.callEvery > 0 {
+			rs.callee = rng.NewBound(len(rs.code))
+		}
 	}
 	g := &generator{
-		blocks: p.Blocks(),
-		rng:    rand.New(rand.NewSource(s.seed)),
+		rng:    rng.New(s.seed),
 		cursor: make([]int, p.NumBlocks()),
-	}
-	// A spec without a (known) stack block simply emits no call frames,
-	// matching the lookup-and-skip of earlier versions.
-	if id, ok := p.Lookup(s.stack); ok {
-		g.stackID, g.hasStack = id, true
 	}
 	return &genStream{g: g, segments: rsegs, counts: counts}
 }
 
+// callFrame builds the events of one call of c: the call marker, c's
+// spill writes to the stack block, the matching reloads, and the
+// return. Calls never nest in a generated trace, so every frame starts
+// at the bottom of the stack: successive calls rewrite the same words,
+// which is what makes the stack the write-endurance hot spot of the
+// paper's evaluation (Table III's pure-STT lifetime collapses because
+// of cells like these).
+func callFrame(stack program.Block, c codeUse) []trace.Event {
+	touch := c.stackTouch
+	if touch*4 > stack.Size {
+		touch = stack.Size / 4
+	}
+	span := maxOffset(stack.Size, 4)
+	frame := make([]trace.Event, 0, 2+2*touch)
+	frame = append(frame, trace.CallEvent(int32(c.frameBytes)))
+	for _, op := range []trace.Op{trace.Write, trace.Read} {
+		for i := 0; i < touch; i++ {
+			frame = append(frame, trace.AccessEvent(trace.Access{
+				Op: op, Space: trace.Data,
+				Addr: stack.Addr + uint32(i*4%span), Size: 4,
+			}))
+		}
+	}
+	return append(frame, trace.ReturnEvent())
+}
+
 // genStream adapts the generator to the trace.Stream pull interface:
-// each refill runs exactly one activation, so the buffer stays a few
-// hundred events regardless of trace length.
+// each refill runs whole activations, so the buffer stays a few hundred
+// events regardless of trace length.
 type genStream struct {
 	g        *generator
 	segments []rsegment
@@ -205,37 +278,35 @@ var (
 
 // Next implements trace.Stream.
 func (st *genStream) Next() (trace.Event, bool) {
-	if !st.fill() {
-		return trace.Event{}, false
+	for st.pos >= len(st.g.events) {
+		st.g.events = st.g.events[:0]
+		st.pos = 0
+		if !st.advance() {
+			return trace.Event{}, false
+		}
 	}
 	e := st.g.events[st.pos]
 	st.pos++
 	return e, true
 }
 
-// ReadBatch implements trace.BatchReader: it copies whole runs of the
-// activation buffer into buf.
+// ReadBatch implements trace.BatchReader: it runs activations until
+// len(buf) events are buffered, or the trace ends, and hands out a
+// window of the generator's own buffer. Only the unread tail of the
+// previous batch moves, to the front of the buffer, before a refill.
 func (st *genStream) ReadBatch(buf []trace.Event) []trace.Event {
-	n := 0
-	for n < len(buf) && st.fill() {
-		c := copy(buf[n:], st.g.events[st.pos:])
-		st.pos += c
-		n += c
-	}
-	return buf[:n]
-}
-
-// fill refills the consumed activation buffer, reporting false once
-// every segment is exhausted.
-func (st *genStream) fill() bool {
-	for st.pos >= len(st.g.events) {
-		st.g.events = st.g.events[:0]
+	ev := st.g.events
+	if len(ev)-st.pos < len(buf) && st.segIdx < len(st.segments) {
+		st.g.events = ev[:copy(ev, ev[st.pos:])]
 		st.pos = 0
-		if !st.advance() {
-			return false
+		for len(st.g.events) < len(buf) && st.advance() {
 		}
+		ev = st.g.events
 	}
-	return true
+	n := min(len(buf), len(ev)-st.pos)
+	w := ev[st.pos : st.pos+n : st.pos+n]
+	st.pos += n
+	return w
 }
 
 // advance appends the next activation's events to the generator's
@@ -244,7 +315,7 @@ func (st *genStream) advance() bool {
 	if st.segIdx >= len(st.segments) {
 		return false
 	}
-	st.g.runActivation(st.segments[st.segIdx], st.actIdx)
+	st.g.runActivation(&st.segments[st.segIdx], st.actIdx)
 	st.actIdx++
 	if st.actIdx >= st.counts[st.segIdx] {
 		st.segIdx++
@@ -278,12 +349,10 @@ func (st *genStream) sizeHint() int {
 				fetches += per / float64(seg.fetchEvery)
 			}
 			per += fetches
-			if seg.callEvery > 0 && st.g.hasStack {
+			if seg.callEvery > 0 {
 				var frame float64
 				for _, c := range rs.code {
-					if c.frameBytes > 0 {
-						frame += float64(2 + 2*c.stackTouch)
-					}
+					frame += float64(len(c.frame))
 				}
 				per += frame / float64(len(rs.code)) / float64(seg.callEvery)
 			}
@@ -295,68 +364,49 @@ func (st *genStream) sizeHint() int {
 
 // generator emits trace events for a spec.
 type generator struct {
-	blocks []program.Block // dense BlockID → block descriptor
-	rng    *rand.Rand
+	rng    *rng.Source
 	events []trace.Event
 
-	// stackID names the stack block used by call markers; hasStack is
-	// false when the spec's stack block does not exist.
-	stackID  program.BlockID
-	hasStack bool
 	// cursor tracks the sequential offset per block, indexed by BlockID.
 	cursor []int
 	// sinceFetch counts data accesses since the last instruction fetch.
 	sinceFetch int
-	// stackDepth is the current call-stack depth in bytes (frames are
-	// addressed by depth, like a real descending stack).
-	stackDepth int
 }
 
 // runActivation emits the events of one activation: the periodic
 // call/return pair, the entry fetch burst, and the data run.
-func (g *generator) runActivation(seg rsegment, act int) {
-	totalW := 0.0
-	for _, pt := range seg.patterns {
-		totalW += pt.weight
-	}
+func (g *generator) runActivation(seg *rsegment, act int) {
 	if seg.seg.callEvery > 0 && act%seg.seg.callEvery == 0 {
-		g.emitCall(seg)
+		g.events = append(g.events, seg.code[g.rng.Bounded(seg.callee)].frame...)
 	}
-	pt := g.pickPattern(seg.patterns, totalW)
+	pt := g.pickPattern(seg)
 	g.fetchBurst(seg) // entering the activation executes code
-	runLen := 1 + g.rng.Intn(2*pt.runLen)
+	runLen := 1 + g.rng.Bounded(pt.runDraw)
 	for i := 0; i < runLen; i++ {
 		g.emitData(pt, seg)
 	}
 }
 
-func (g *generator) pickPattern(patterns []rpattern, totalW float64) rpattern {
-	u := g.rng.Float64() * totalW
-	for _, pt := range patterns {
+func (g *generator) pickPattern(seg *rsegment) *rpattern {
+	u := g.rng.Float64() * seg.patternW
+	for i := range seg.patterns {
+		pt := &seg.patterns[i]
 		if u < pt.weight {
 			return pt
 		}
 		u -= pt.weight
 	}
-	return patterns[len(patterns)-1]
+	return &seg.patterns[len(seg.patterns)-1]
 }
 
 // emitData issues one access event according to the pattern.
-func (g *generator) emitData(pt rpattern, seg rsegment) {
-	b := &g.blocks[pt.id]
-	size := pt.burstWords * 4
-	if size <= 0 {
-		size = 4
-	}
-	if size > b.Size {
-		size = b.Size
-	}
+func (g *generator) emitData(pt *rpattern, seg *rsegment) {
 	var off int
 	if pt.sequential {
 		off = g.cursor[pt.id]
-		g.cursor[pt.id] = (off + size) % maxOffset(b.Size, size)
+		g.cursor[pt.id] = wrap(off+pt.size, pt.span)
 	} else {
-		off = g.rng.Intn(maxOffset(b.Size, size))
+		off = g.rng.Bounded(pt.offset)
 		off &^= 3 // word-align
 	}
 	op := trace.Write
@@ -365,11 +415,11 @@ func (g *generator) emitData(pt rpattern, seg rsegment) {
 	}
 	think := 0
 	if seg.seg.think > 0 {
-		think = g.rng.Intn(2*seg.seg.think + 1)
+		think = g.rng.Bounded(seg.think)
 	}
 	g.events = append(g.events, trace.AccessEvent(trace.Access{
 		Op: op, Space: trace.Data,
-		Addr: b.Addr + uint32(off), Size: int32(size), Think: int32(think),
+		Addr: pt.addr + uint32(off), Size: int32(pt.size), Think: int32(think),
 	}))
 	g.sinceFetch++
 	if seg.seg.fetchEvery > 0 && g.sinceFetch >= seg.seg.fetchEvery {
@@ -386,78 +436,34 @@ func maxOffset(blockSize, accessSize int) int {
 	return m
 }
 
+// wrap is x % m for x >= 0, without the division when x < m already.
+func wrap(x, m int) int {
+	if x >= m {
+		x %= m
+	}
+	return x
+}
+
 // fetchBurst emits one instruction-fetch burst from a weighted code
 // block.
-func (g *generator) fetchBurst(seg rsegment) {
+func (g *generator) fetchBurst(seg *rsegment) {
 	if len(seg.code) == 0 {
 		return
 	}
-	totalW := 0.0
-	for _, c := range seg.code {
-		totalW += c.weight
-	}
-	u := g.rng.Float64() * totalW
-	use := seg.code[len(seg.code)-1]
-	for _, c := range seg.code {
+	u := g.rng.Float64() * seg.codeW
+	use := &seg.code[len(seg.code)-1]
+	for i := range seg.code {
+		c := &seg.code[i]
 		if u < c.weight {
 			use = c
 			break
 		}
 		u -= c.weight
 	}
-	b := &g.blocks[use.id]
-	words := seg.seg.fetchWords
-	if words <= 0 {
-		words = 8
-	}
-	size := words * 4
-	if size > b.Size {
-		size = b.Size
-	}
 	off := g.cursor[use.id]
-	g.cursor[use.id] = (off + size) % maxOffset(b.Size, size)
+	g.cursor[use.id] = wrap(off+use.fetch, use.span)
 	g.events = append(g.events, trace.AccessEvent(trace.Access{
 		Op: trace.Read, Space: trace.Code,
-		Addr: b.Addr + uint32(off), Size: int32(size), Think: 0,
+		Addr: use.addr + uint32(off), Size: int32(use.fetch),
 	}))
-}
-
-// emitCall pushes a frame: call marker, spill writes to the stack block,
-// and the matching return with reload reads. Frames are addressed by the
-// current call depth, exactly as a real stack: successive calls at the
-// same nesting level rewrite the same words, which is what makes the
-// stack the write-endurance hot spot of the paper's evaluation (Table
-// III's pure-STT lifetime collapses because of cells like these).
-func (g *generator) emitCall(seg rsegment) {
-	use := seg.code[g.rng.Intn(len(seg.code))]
-	if use.frameBytes == 0 {
-		return
-	}
-	if !g.hasStack {
-		return
-	}
-	b := &g.blocks[g.stackID]
-	g.events = append(g.events, trace.CallEvent(int32(use.frameBytes)))
-	touch := use.stackTouch
-	if touch*4 > b.Size {
-		touch = b.Size / 4
-	}
-	base := g.stackDepth % maxOffset(b.Size, 4)
-	g.stackDepth += use.frameBytes
-	for i := 0; i < touch; i++ {
-		off := (base + i*4) % maxOffset(b.Size, 4)
-		g.events = append(g.events, trace.AccessEvent(trace.Access{
-			Op: trace.Write, Space: trace.Data,
-			Addr: b.Addr + uint32(off), Size: 4, Think: 0,
-		}))
-	}
-	for i := 0; i < touch; i++ {
-		off := (base + i*4) % maxOffset(b.Size, 4)
-		g.events = append(g.events, trace.AccessEvent(trace.Access{
-			Op: trace.Read, Space: trace.Data,
-			Addr: b.Addr + uint32(off), Size: 4, Think: 0,
-		}))
-	}
-	g.stackDepth -= use.frameBytes
-	g.events = append(g.events, trace.ReturnEvent())
 }

@@ -111,3 +111,22 @@ func TestTraceCacheConcurrent(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// BenchmarkTraceStream times streamed generation of every suite
+// workload's trace at scale 0.25, drained in trace.BatchLen batches as
+// the profiler and the simulator read it (reports ns per event).
+func BenchmarkTraceStream(b *testing.B) {
+	b.ReportAllocs()
+	suite := Suite()
+	buf := make([]trace.Event, trace.BatchLen)
+	events := 0
+	for i := 0; i < b.N; i++ {
+		for _, w := range suite {
+			s := w.TraceStream(0.25)
+			for batch := trace.ReadBatch(s, buf); len(batch) > 0; batch = trace.ReadBatch(s, buf) {
+				events += len(batch)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}

@@ -45,7 +45,7 @@ func (w Workload) TraceStream(scale float64) trace.Stream {
 
 // TraceEvents materializes the trace as a raw event slice. The caller
 // owns the slice; sharing it read-only across trace.Replay streams is
-// how the sweep engine amortizes generation over several consumers.
+// how the soak engine amortizes generation over its trials.
 func (w Workload) TraceEvents(scale float64) []trace.Event {
 	return w.spec.generate(w.prog, scale)
 }
