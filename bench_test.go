@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"ftspm"
+	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 	"ftspm/internal/resultcache"
 	"ftspm/internal/spm"
@@ -292,6 +293,29 @@ func BenchmarkRunSoak(b *testing.B) {
 	}
 	b.Run("packed", run(0))
 	b.Run("scalar", run(1))
+}
+
+// BenchmarkRunSoakCampaign times the packed half of perfbench's soak
+// workload: 256 trials on each of three structures (four 64-lane
+// batches apiece) at scale 0.05 and strike rate 0.01, through
+// RunSoakCampaign on the default worker pool. Unlike BenchmarkRunSoak's
+// single batch, it shows how the campaign spreads batches over cores.
+func BenchmarkRunSoakCampaign(b *testing.B) {
+	b.ReportAllocs()
+	rec := spm.DefaultRecovery()
+	opts := experiments.SoakOptions{
+		Trials: 256, Scale: 0.05, StrikesPerAccess: 0.01, Seed: 1, Recovery: &rec,
+	}
+	structures := []core.Structure{core.StructFTSPM, core.StructPureSRAM, core.StructPureSTT}
+	for i := 0; i < b.N; i++ {
+		reps, st, err := experiments.RunSoakCampaign(context.Background(), opts, structures, experiments.CampaignConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Failed != 0 || len(reps) != len(structures) || reps[0].Trials != opts.Trials {
+			b.Fatalf("degenerate soak campaign: %d failed, %d reports", st.Failed, len(reps))
+		}
+	}
 }
 
 // BenchmarkPipeline_SingleRun times the full single-workload pipeline —

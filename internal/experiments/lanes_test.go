@@ -12,12 +12,13 @@ import (
 )
 
 // runSoakBothPaths runs the same campaign through the packed engine
-// (Lanes auto) and the scalar simulator (Lanes 1) and returns both
-// report sets.
-func runSoakBothPaths(t *testing.T, opts SoakOptions, structures []core.Structure) (packed, scalar []*SoakReport) {
+// (Lanes auto) and the scalar simulator (Lanes 1) on a pool of workers
+// (0: the default) and returns both report sets.
+func runSoakBothPaths(t *testing.T, opts SoakOptions, structures []core.Structure, workers int) (packed, scalar []*SoakReport) {
 	t.Helper()
+	cc := CampaignConfig{Workers: workers}
 	opts.Lanes = 0
-	packed, status, err := RunSoakCampaign(context.Background(), opts, structures, CampaignConfig{})
+	packed, status, err := RunSoakCampaign(context.Background(), opts, structures, cc)
 	if err != nil {
 		t.Fatalf("packed campaign: %v", err)
 	}
@@ -25,7 +26,7 @@ func runSoakBothPaths(t *testing.T, opts SoakOptions, structures []core.Structur
 		t.Fatalf("packed campaign trial failed: %v", f)
 	}
 	opts.Lanes = 1
-	scalar, status, err = RunSoakCampaign(context.Background(), opts, structures, CampaignConfig{})
+	scalar, status, err = RunSoakCampaign(context.Background(), opts, structures, cc)
 	if err != nil {
 		t.Fatalf("scalar campaign: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestSoakLaneEquivalence(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			packed, scalar := runSoakBothPaths(t, tc.opts, tc.structures)
+			packed, scalar := runSoakBothPaths(t, tc.opts, tc.structures, 0)
 			for i, s := range tc.structures {
 				if !reflect.DeepEqual(packed[i], scalar[i]) {
 					t.Errorf("%v: packed and scalar reports diverge:\npacked: %+v\nscalar: %+v",
@@ -215,23 +216,26 @@ func TestSoakWearFallsBackToScalar(t *testing.T) {
 
 // TestSoakWearFallbackCounted pins the wear half of the fallback
 // counter: each structure's packed path declines a wear model once, no
-// matter how many of its trials run, a forced-scalar campaign (Lanes 1)
-// declines nothing, and every decline is counted under wear alone.
+// matter how many of its trials run or how many workers help with its
+// batches, a forced-scalar campaign (Lanes 1) declines nothing, and
+// every decline is counted under wear alone.
 func TestSoakWearFallbackCounted(t *testing.T) {
 	opts := SoakOptions{
 		Trials: 3, Scale: 0.02, Seed: 7, StrikesPerAccess: 0.01,
 		Wear: &spm.WearConfig{WriteFailProb: 0.05, MaxWriteRetries: 2, StuckAtProb: 0.02},
 	}
 	structures := []core.Structure{core.StructFTSPM, core.StructPureSRAM, core.StructPureSTT}
-	before, beforeTotal := ScalarFallbacks(), ScalarFallbackCount()
-	runSoakBothPaths(t, opts, structures)
-	if got := ScalarFallbackCount() - beforeTotal; got != uint64(len(structures)) {
-		t.Errorf("wear soak over %d structures counted %d scalar fallbacks, want %d",
-			len(structures), got, len(structures))
-	}
-	want := FallbackCounts{Wear: uint64(len(structures))}
-	if got := fallbacksSince(before); got != want {
-		t.Errorf("wear soak fallbacks by cause = %+v, want %+v", got, want)
+	for _, workers := range []int{0, 4} {
+		before, beforeTotal := ScalarFallbacks(), ScalarFallbackCount()
+		runSoakBothPaths(t, opts, structures, workers)
+		if got := ScalarFallbackCount() - beforeTotal; got != uint64(len(structures)) {
+			t.Errorf("workers=%d: wear soak over %d structures counted %d scalar fallbacks, want %d",
+				workers, len(structures), got, len(structures))
+		}
+		want := FallbackCounts{Wear: uint64(len(structures))}
+		if got := fallbacksSince(before); got != want {
+			t.Errorf("workers=%d: wear soak fallbacks by cause = %+v, want %+v", workers, got, want)
+		}
 	}
 }
 

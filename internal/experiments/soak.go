@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -259,9 +261,11 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	return reps[0], nil
 }
 
-// soakShared is the campaign-wide lazily-computed state: the workload
-// trace is materialized once and its profile computed once, shared
-// read-only by every structure and trial.
+// soakShared is one soak source's shared state. The workload trace is
+// materialized once and its profile computed once, shared read-only by
+// every structure and trial. The rest is the source's batch board: the
+// packed engine's lane batches of every structure (see packedState),
+// which the source's jobs claim, compute and read under one mutex.
 type soakShared struct {
 	w      workloads.Workload
 	opts   SoakOptions
@@ -269,6 +273,49 @@ type soakShared struct {
 	events []trace.Event
 	prof   *profile.Profile
 	err    error
+
+	// width is the lane batch width; the board is unused at width 1.
+	width int
+	// structs lists the source's structures in source order, the order
+	// a helping job scans them in.
+	structs []*soakStructShared
+	// mu guards every structure's packedState and building; cond, over
+	// mu, wakes the jobs waiting for a batch.
+	mu   sync.Mutex
+	cond sync.Cond
+	// building is set while a structure's skeleton and engine are being
+	// built: one build at a time keeps the board's allocation bursts to
+	// one structure's, as when structures were set up one by one.
+	building bool
+	// batchHook, when non-nil, is called as each batch's packed pass
+	// starts (after any engine build), with helped set when the
+	// computing job is not one of the batch's own, and the function it
+	// returns when the pass ends (a test seam).
+	batchHook func(s core.Structure, b int, helped bool) (done func())
+}
+
+func newSoakShared(w workloads.Workload, opts SoakOptions) *soakShared {
+	sh := &soakShared{w: w, opts: opts, width: laneWidth(opts.Lanes)}
+	sh.cond.L = &sh.mu
+	return sh
+}
+
+// structure returns the board slot of structure s, adding it on first
+// use.
+func (sh *soakShared) structure(s core.Structure) *soakStructShared {
+	for _, ss := range sh.structs {
+		if ss.structure == s {
+			return ss
+		}
+	}
+	ss := &soakStructShared{structure: s}
+	if sh.width > 1 {
+		n := (sh.opts.Trials + sh.width - 1) / sh.width
+		ss.packed.wanted = make([]bool, n)
+		ss.packed.results = make([][]soakTrialResult, n)
+	}
+	sh.structs = append(sh.structs, ss)
+	return ss
 }
 
 func (sh *soakShared) ensure() error {
@@ -291,7 +338,7 @@ func (sh *soakShared) ensure() error {
 
 // soakStructShared is the per-structure lazily-computed state: the spec
 // and MDA placement every trial of that structure replays against, and
-// the packed-engine results when the fast path applies.
+// its slot on the batch board when the packed engine applies.
 type soakStructShared struct {
 	structure core.Structure
 	once      sync.Once
@@ -306,79 +353,220 @@ type soakStructShared struct {
 	packed     packedState
 }
 
-// packedState memoizes the packed engine's output for one structure,
-// one lane batch at a time. The first trial job to run builds the
-// skeleton and engine; each batch of up to width trials is computed by
-// the first job that lands in it and cached for its lane-mates. Lazy
-// batching matters in distributed runs: a worker assigned a slice of a
-// structure's trials computes only the batches covering its slice, not
-// the whole campaign. A configuration the engine rejects (or a wear
-// model, which it has no lanes for) flips the state off, and every job
-// falls back to the scalar path.
+// packedState is one structure's slot on its source's batch board,
+// guarded by soakShared.mu. Trials run on the packed engine in lane
+// batches of width trials; batch b covers trials [b*width,
+// (b+1)*width). A batch is computed once, by whichever job claims it,
+// and lands here for its lane-mates to read.
+//
+// A structure computes one batch at a time on its one engine: busy
+// marks the batch in flight (its skeleton and engine build included),
+// so the claimed batch is the in-flight one. A job whose own batch is
+// in flight does not idle: it helps, computing the first wanted batch
+// of any idle structure, so both cores stay busy while dispatch walks
+// one structure's trials. Engines are built one at a time per board
+// (soakShared.building). Wanted batches are those covering the job IDs
+// the source handed out (JobSource.Jobs, JobsUncached): a fabric worker
+// given one chunk computes the chunk's batches and no others. Once
+// every wanted batch has landed the engine is dropped; a later Jobs
+// call that wants more rebuilds it.
+//
+// A configuration the engine rejects (or a wear model, which it has no
+// lanes for) latches the slot off, counted once, and every job of the
+// structure falls back to the scalar path. A computation that fails
+// other than by a decline or its job's context, or panics, takes the
+// structure out of helping: only its own jobs meet the failure again.
 type packedState struct {
-	mu      sync.Mutex
-	off     bool
-	eng     *simd.Engine
-	batches map[int][]soakTrialResult
+	off, busy, noHelp bool
+	eng               *simd.Engine
+	wanted            []bool
+	results           [][]soakTrialResult // nil until the batch lands
+	// open counts wanted batches not yet landed; no batch below next is
+	// wanted and unlanded.
+	open, next int
 }
 
-// trial returns trial t's packed result, computing its lane batch on
-// first use. ok=false means the packed path does not apply (caller runs
-// the scalar trial). Context errors are returned uncached, so a retried
-// or resumed job recomputes.
-func (ps *packedState) trial(ctx context.Context, w workloads.Workload, spec core.Spec,
-	place spm.Placement, events []trace.Event, opts SoakOptions, t, width int) (soakTrialResult, bool, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.off {
-		return soakTrialResult{}, false, nil
+// want marks the batch covering job id as wanted. IDs of other
+// sources, and any ID at width 1, are ignored.
+func (sh *soakShared) want(id string) {
+	if sh.width <= 1 {
+		return
 	}
+	rest, ok := strings.CutPrefix(id, KindSoak+"/")
+	if !ok {
+		return
+	}
+	name, trial, ok := strings.Cut(rest, "/trial/")
+	if !ok {
+		return
+	}
+	t, err := strconv.Atoi(trial)
+	if err != nil || t < 0 || t >= sh.opts.Trials {
+		return
+	}
+	for _, ss := range sh.structs {
+		if ss.structure.String() != name {
+			continue
+		}
+		ps, b := &ss.packed, t/sh.width
+		sh.mu.Lock()
+		if !ps.wanted[b] {
+			ps.wanted[b] = true
+			if ps.results[b] == nil {
+				ps.open++
+				ps.next = min(ps.next, b)
+				sh.cond.Broadcast()
+			}
+		}
+		sh.mu.Unlock()
+		return
+	}
+}
+
+// packedTrial returns trial t's packed result, computing its lane batch
+// if no job has. ok=false means the packed path does not apply (caller
+// runs the scalar trial). While its batch is in flight elsewhere the
+// job helps with another wanted batch, or waits. Failures are returned
+// uncached, so a retried or resumed job recomputes.
+func (sh *soakShared) packedTrial(ctx context.Context, ss *soakStructShared, t int) (soakTrialResult, bool, error) {
+	ps, b := &ss.packed, t/sh.width
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
+	for {
+		if ps.off {
+			return soakTrialResult{}, false, nil
+		}
+		if res := ps.results[b]; res != nil {
+			return res[t-b*sh.width], true, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return soakTrialResult{}, false, err
+		}
+		if sh.idle(ps) {
+			if err := sh.compute(ctx, ss, b, false); err != nil && !errors.Is(err, simd.ErrUnsupported) {
+				return soakTrialResult{}, false, err
+			}
+			continue
+		}
+		if hs, hb, ok := sh.helpable(); ok {
+			// A decline or failure of the helped batch is latched on its
+			// structure; only this job's own context ends this job.
+			if err := sh.compute(ctx, hs, hb, true); err != nil && ctx.Err() != nil {
+				return soakTrialResult{}, false, err
+			}
+			continue
+		}
+		if stop == nil && ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() {
+				sh.mu.Lock()
+				sh.cond.Broadcast()
+				sh.mu.Unlock()
+			})
+		}
+		sh.cond.Wait()
+	}
+}
+
+// idle reports whether a batch of ps can start now: none is in flight,
+// and its engine is built or no other engine is being built. The
+// caller holds sh.mu.
+func (sh *soakShared) idle(ps *packedState) bool {
+	return !ps.busy && (ps.eng != nil || !sh.building)
+}
+
+// helpable returns the first wanted, unlanded batch, in source order,
+// of an idle structure that is neither latched off nor out of helping.
+// The caller holds sh.mu.
+func (sh *soakShared) helpable() (*soakStructShared, int, bool) {
+	for _, ss := range sh.structs {
+		ps := &ss.packed
+		if ps.off || ps.noHelp || ps.open == 0 || !sh.idle(ps) {
+			continue
+		}
+		for ; ps.next < len(ps.wanted); ps.next++ {
+			if ps.wanted[ps.next] && ps.results[ps.next] == nil {
+				return ss, ps.next, true
+			}
+		}
+	}
+	return nil, 0, false
+}
+
+// compute claims batch b of ss and computes it under ctx, building the
+// structure's engine first if it has none. The caller holds sh.mu,
+// which compute releases while it works and holds again when it
+// returns or panics; its deferred cleanup lands the batch, or
+// un-claims it and latches a decline or failure, and wakes the
+// waiters.
+func (sh *soakShared) compute(ctx context.Context, ss *soakStructShared, b int, helped bool) (err error) {
+	ps := &ss.packed
+	ps.busy = true
+	building := ps.eng == nil
+	if building {
+		sh.building = true
+	}
+	sh.mu.Unlock()
+	var res []soakTrialResult
+	defer func() {
+		sh.mu.Lock()
+		ps.busy = false
+		if building {
+			sh.building = false
+		}
+		switch {
+		case res != nil:
+			ps.results[b] = res
+			if ps.wanted[b] {
+				ps.open--
+			}
+			if ps.open == 0 {
+				ps.eng = nil
+			}
+		case errors.Is(err, simd.ErrUnsupported):
+			ps.off = true
+			fallbackCounter(err).Add(1)
+		case err == nil || ctx.Err() == nil:
+			// A panic (err still nil) or a failure of the batch itself.
+			ps.noHelp = true
+		}
+		sh.cond.Broadcast()
+	}()
+	if building {
+		eng, err := sh.buildEngine(ctx, ss)
+		sh.mu.Lock()
+		ps.eng, sh.building, building = eng, false, false
+		sh.cond.Broadcast()
+		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	if sh.batchHook != nil {
+		defer sh.batchHook(ss.structure, b, helped)()
+	}
+	res, err = packedBatch(ctx, ps.eng, sh.opts, b*sh.width, sh.width)
+	return err
+}
+
+// buildEngine records the instrumented fault-free pass and builds the
+// lane engine for one structure of the soak.
+func (sh *soakShared) buildEngine(ctx context.Context, ss *soakStructShared) (*simd.Engine, error) {
+	opts := sh.opts
 	if opts.Wear != nil {
 		// A wear model forks per-trial control flow, which lanes
 		// sharing one trace pass cannot follow.
-		return ps.decline(simd.ErrWear)
+		return nil, simd.ErrWear
 	}
-	if ps.eng == nil {
-		eng, err := buildPackedEngine(ctx, w, spec, place, events, opts)
-		if errors.Is(err, simd.ErrUnsupported) {
-			return ps.decline(err)
-		}
-		if err != nil {
-			return soakTrialResult{}, false, err
-		}
-		ps.eng = eng
-		ps.batches = make(map[int][]soakTrialResult)
+	if err := ss.ensure(sh); err != nil {
+		return nil, err
 	}
-	b := t / width
-	res, ok := ps.batches[b]
-	if !ok {
-		var err error
-		res, err = packedBatch(ctx, ps.eng, opts, b*width, width)
-		if errors.Is(err, simd.ErrUnsupported) {
-			return ps.decline(err)
-		}
-		if err != nil {
-			return soakTrialResult{}, false, err
-		}
-		ps.batches[b] = res
-	}
-	return res[t-b*width], true, nil
-}
-
-// decline latches the packed path off for the structure and counts the
-// one scalar fallback under the cause err names. Callers hold ps.mu and
-// return its result.
-func (ps *packedState) decline(err error) (soakTrialResult, bool, error) {
-	ps.off = true
-	fallbackCounter(err).Add(1)
-	return soakTrialResult{}, false, nil
-}
-
-// buildPackedEngine records the instrumented fault-free pass and builds
-// the lane engine for one (workload, structure) soak configuration.
-func buildPackedEngine(ctx context.Context, w workloads.Workload, spec core.Spec,
-	place spm.Placement, events []trace.Event, opts SoakOptions) (*simd.Engine, error) {
-	cfg := spec.SimConfig(place)
+	cfg := ss.spec.SimConfig(ss.place)
 	if opts.Recovery != nil {
 		rc := *opts.Recovery
 		cfg.Recovery = &rc
@@ -390,7 +578,7 @@ func buildPackedEngine(ctx context.Context, w workloads.Workload, spec core.Spec
 		st := *opts.Storm
 		cfg.Injection = &sim.InjectionConfig{Dist: opts.Dist, Target: opts.Target, Storm: &st}
 	}
-	sk, err := simd.BuildSkeleton(ctx, w.Program(), cfg, events)
+	sk, err := simd.BuildSkeleton(ctx, sh.w.Program(), cfg, sh.events)
 	if err != nil {
 		return nil, err
 	}
@@ -492,10 +680,14 @@ func soakConfigHash(opts SoakOptions, structures []core.Structure) (string, erro
 
 // RunSoakCampaign executes the soak as a crash-safe campaign over every
 // (structure, trial) pair: base.Trials seeded runs of the workload on
-// each listed structure, fanned out over the bounded worker pool. Trial
-// t uses the same derived seeds on every structure, so the structures
-// face identical strike streams (a paired comparison). The trace is
-// materialized once and replayed read-only by every trial.
+// each listed structure, one job per trial on the bounded worker pool.
+// On the packed engine a job's trial is one lane of a batch that the
+// first free job computes for all its lane-mates, and a job whose batch
+// is in flight computes another structure's meanwhile (see
+// packedState). Trial t uses the same derived seeds on every structure,
+// so the structures face identical strike streams (a paired
+// comparison). The trace is materialized once and replayed read-only by
+// every trial.
 //
 // One report per structure is returned in input order, aggregating the
 // trials in trial order so the result is deterministic regardless of
@@ -531,16 +723,15 @@ func RunSoakOn(ctx context.Context, base SoakOptions, structures []core.Structur
 
 // runSoakJobBody is the body of one (structure, trial) soak job, shared
 // by the local campaign path and the distributed fabric's job source.
-func runSoakJobBody(ctx context.Context, sh *soakShared, ss *soakStructShared,
-	w workloads.Workload, opts SoakOptions, t int) (soakTrialResult, error) {
+func runSoakJobBody(ctx context.Context, sh *soakShared, ss *soakStructShared, t int) (soakTrialResult, error) {
 	if err := ss.ensure(sh); err != nil {
 		return soakTrialResult{}, err
 	}
 	// Packed fast path: up to 64 trials advance through one trace
 	// pass. Wear models and unsupported configurations fall back to the
 	// scalar simulator.
-	if width := laneWidth(opts.Lanes); width > 1 {
-		res, ok, err := ss.packed.trial(ctx, w, ss.spec, ss.place, sh.events, opts, t, width)
+	if sh.width > 1 {
+		res, ok, err := sh.packedTrial(ctx, ss, t)
 		if err != nil {
 			return soakTrialResult{}, fmt.Errorf("experiments: soak trial %d: %w", t, err)
 		}
@@ -548,7 +739,7 @@ func runSoakJobBody(ctx context.Context, sh *soakShared, ss *soakStructShared,
 			return res, nil
 		}
 	}
-	res, err := runSoakTrial(ctx, w, ss.spec, ss.place, ss.hotWindows, sh.events, opts, t)
+	res, err := runSoakTrial(ctx, sh.w, ss.spec, ss.place, ss.hotWindows, sh.events, sh.opts, t)
 	if err != nil {
 		return soakTrialResult{}, fmt.Errorf("experiments: soak trial %d: %w", t, err)
 	}

@@ -51,6 +51,9 @@ type JobSource struct {
 	SoakStructures []core.Structure
 
 	runs map[string]func(ctx context.Context) (json.RawMessage, error)
+	// soak is a soak source's batch board: handing out a job marks its
+	// lane batch wanted there (nil for a sweep).
+	soak *soakShared
 
 	// cache state (set by UseCache): the result cache consulted before
 	// running a job, and each job's content-addressed key.
@@ -66,7 +69,7 @@ type JobSource struct {
 // UseCache), the runner consults it first and stores on miss; the
 // journaled bytes are identical either way.
 func (s *JobSource) Job(id string) (campaign.Job[json.RawMessage], error) {
-	run, ok := s.runs[id]
+	run, ok := s.run(id)
 	if !ok {
 		return campaign.Job[json.RawMessage]{}, fmt.Errorf("experiments: unknown job ID %q", id)
 	}
@@ -98,13 +101,24 @@ func (s *JobSource) Jobs(ids []string) ([]campaign.Job[json.RawMessage], error) 
 func (s *JobSource) JobsUncached(ids []string) ([]campaign.Job[json.RawMessage], error) {
 	jobs := make([]campaign.Job[json.RawMessage], 0, len(ids))
 	for _, id := range ids {
-		run, ok := s.runs[id]
+		run, ok := s.run(id)
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown job ID %q", id)
 		}
 		jobs = append(jobs, campaign.Job[json.RawMessage]{ID: id, Run: run})
 	}
 	return jobs, nil
+}
+
+// run returns the runner of job id, marking the job wanted on a soak
+// source's batch board: only the batches of handed-out jobs are
+// computed by jobs helping their neighbours.
+func (s *JobSource) run(id string) (func(context.Context) (json.RawMessage, error), bool) {
+	run, ok := s.runs[id]
+	if ok && s.soak != nil {
+		s.soak.want(id)
+	}
+	return run, ok
 }
 
 // SetupKey names the once-per-key set-up job id shares with its
@@ -233,21 +247,20 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 		SoakStructures: structures,
 		runs:           make(map[string]func(context.Context) (json.RawMessage, error), len(structures)*base.Trials),
 	}
-	sh := &soakShared{w: w, opts: base}
+	sh := newSoakShared(w, base)
+	src.soak = sh
 	// Structure-major dispatch: with short trials this keeps every
 	// structure's shared setup warm early instead of computing them all
-	// back-to-back at the end.
+	// back-to-back at the end. The batch board lets a job whose lane
+	// batch is in flight compute another structure's meanwhile.
 	for _, s := range structures {
-		s := s
-		ss := &soakStructShared{structure: s}
-		opts := base
-		opts.Structure = s
+		ss := sh.structure(s)
 		for t := 0; t < base.Trials; t++ {
 			t := t
 			id := soakJobID(s, t)
 			src.IDs = append(src.IDs, id)
 			src.runs[id] = func(jctx context.Context) (json.RawMessage, error) {
-				res, err := runSoakJobBody(jctx, sh, ss, w, opts, t)
+				res, err := runSoakJobBody(jctx, sh, ss, t)
 				if err != nil {
 					return nil, err
 				}

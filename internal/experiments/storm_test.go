@@ -43,28 +43,28 @@ func runSoakOn(opts SoakOptions, s core.Structure) (*SoakReport, error) {
 // TestStormSoakFallsBackToScalar pins the storm half of the fallback
 // gate: the packed engine declines storm configurations through
 // simd.ErrUnsupported (no pre-gate in the job body), the scalar
-// fallback counter ticks under the storm cause alone, and the campaign
-// still produces the scalar result byte for byte.
+// fallback counter ticks once per structure under the storm cause
+// alone, however many workers help with the structures' batches, and
+// the campaign still produces the scalar result byte for byte.
 func TestStormSoakFallsBackToScalar(t *testing.T) {
 	opts := stormTestOptions()
 	structures := []core.Structure{core.StructFTSPM, core.StructPureSRAM}
-	before := ScalarFallbacks()
-	packed, scalar := runSoakBothPaths(t, opts, structures)
-	got := fallbacksSince(before)
-	if got.Storm == 0 {
-		t.Error("packed path never declined: storm jobs did not fall back through ErrUnsupported")
-	}
-	if got != (FallbackCounts{Storm: got.Storm}) {
-		t.Errorf("storm soak counted fallbacks under other causes: %+v", got)
-	}
-	for i, s := range structures {
-		if !reflect.DeepEqual(packed[i], scalar[i]) {
-			t.Errorf("%v: storm campaign diverged between lane settings:\nauto:   %+v\nscalar: %+v",
-				s, *packed[i], *scalar[i])
+	for _, workers := range []int{0, 4} {
+		before := ScalarFallbacks()
+		packed, scalar := runSoakBothPaths(t, opts, structures, workers)
+		if got, want := fallbacksSince(before), (FallbackCounts{Storm: uint64(len(structures))}); got != want {
+			t.Errorf("workers=%d: storm soak fallbacks by cause = %+v, want %+v (one storm decline per structure)",
+				workers, got, want)
 		}
-	}
-	if packed[0].Strikes == 0 {
-		t.Error("storm injected no strikes; fallback test is vacuous")
+		for i, s := range structures {
+			if !reflect.DeepEqual(packed[i], scalar[i]) {
+				t.Errorf("workers=%d, %v: storm campaign diverged between lane settings:\nauto:   %+v\nscalar: %+v",
+					workers, s, *packed[i], *scalar[i])
+			}
+		}
+		if packed[0].Strikes == 0 {
+			t.Error("storm injected no strikes; fallback test is vacuous")
+		}
 	}
 }
 
