@@ -56,6 +56,17 @@ type Codec interface {
 	Decode(code Bits) (Bits, Status)
 }
 
+// PatternClassifier is implemented by codecs whose decode status is a
+// function of the error pattern alone: Classify(delta) is the Decode
+// status of any codeword XOR delta, for delta within the low
+// min(CodeBits(), 64) bits, in O(popcount(delta)). Each such code's
+// status depends only on quantities linear over GF(2) in the stored
+// word and zero on every codeword: the parity of all bits, the
+// syndrome, the mismatch of the copies.
+type PatternClassifier interface {
+	Classify(delta uint64) Status
+}
+
 // ErrBadDataBits is returned for unsupported payload widths.
 var ErrBadDataBits = errors.New("ecc: unsupported number of data bits")
 
@@ -113,6 +124,15 @@ func (c *ParityCodec) Decode(code Bits) (Bits, Status) {
 	return data, Clean
 }
 
+// Classify implements PatternClassifier: an odd number of flipped bits
+// is detected.
+func (c *ParityCodec) Classify(delta uint64) Status {
+	if bits.OnesCount64(delta)%2 != 0 {
+		return Detected
+	}
+	return Clean
+}
+
 // encodeBitwise is the pre-table reference implementation, kept as the
 // oracle for golden-vector and fuzz cross-checks.
 func (c *ParityCodec) encodeBitwise(data Bits) Bits {
@@ -147,22 +167,20 @@ func (c *ParityCodec) maskDataBitwise(b Bits) Bits {
 // Encode and Decode are table-driven: the code is linear, so a codeword
 // is the XOR of per-data-bit parity masks (encMask), and decoding walks
 // only the set bits of the stored word, accumulating the syndrome and
-// the extracted payload in one pass. A syndrome→bit-position table
-// (corr) replaces the positional arithmetic of the correction step. The
-// original per-bit loops survive as encodeBitwise/decodeBitwise, the
-// oracle the golden-vector tests and the fuzz cross-check compare
-// against.
+// the extracted payload in one pass; a nonzero syndrome inside the code
+// is the flipped position itself. The original per-bit loops survive as
+// encodeBitwise/decodeBitwise, the oracle the golden-vector tests and
+// the fuzz cross-check compare against.
 type HammingCodec struct {
 	k       int   // data bits
 	r       int   // Hamming check bits
 	n       int   // inner code length = k + r (positions 1..n)
 	dataPos []int // 1-based inner positions holding data bits, len k
 
-	dataMask uint64     // low k bits of the payload
-	codeMask [2]uint64  // bits 0..n of the stored word (valid codeword positions)
-	encMask  [64]Bits   // per-data-bit codeword contribution, overall parity excluded
-	posData  [128]int8  // codeword position → payload bit index, -1 = check/parity position
-	corr     [128]int16 // syndrome → codeword position to flip, -1 = outside the code (≥3 flips)
+	dataMask uint64    // low k bits of the payload
+	codeMask [2]uint64 // bits 0..n of the stored word (valid codeword positions)
+	encMask  [64]Bits  // per-data-bit codeword contribution, overall parity excluded
+	posData  [128]int8 // codeword position → payload bit index, -1 = check/parity position
 }
 
 var _ Codec = (*HammingCodec)(nil)
@@ -212,13 +230,6 @@ func (c *HammingCodec) buildTables() {
 		// it from the popcount of the assembled word.
 		c.encMask[i] = c.encodeBitwise(BitsFromUint64(1<<uint(i))).Set(0, false)
 	}
-	for s := range c.corr {
-		if s >= 1 && s <= c.n {
-			c.corr[s] = int16(s) // the syndrome IS the flipped position
-		} else {
-			c.corr[s] = -1
-		}
-	}
 }
 
 // MustHamming is NewHamming for statically-valid widths; it panics on
@@ -259,8 +270,7 @@ func (c *HammingCodec) Encode(data Bits) Bits {
 }
 
 // Decode implements Codec: one pass over the set bits of the stored word
-// accumulates the syndrome and the extracted payload; the correction step
-// is a table lookup.
+// accumulates the syndrome and the extracted payload.
 func (c *HammingCodec) Decode(code Bits) (Bits, Status) {
 	syndrome := 0
 	var data uint64
@@ -278,30 +288,40 @@ func (c *HammingCodec) Decode(code Bits) (Bits, Status) {
 			data |= 1 << uint(d)
 		}
 	}
-	overall := code.OnesCount()%2 != 0 // parity of ALL stored bits
-
-	switch {
-	case syndrome == 0 && !overall:
-		return BitsFromUint64(data), Clean
-	case overall:
-		// Odd number of flips → assume single and correct it. A
-		// syndrome of 0 means the overall parity bit itself flipped.
-		if syndrome == 0 {
-			return BitsFromUint64(data), Corrected
+	// The overall parity covers ALL stored bits.
+	status := c.status(syndrome, code.OnesCount()%2 != 0)
+	if status == Corrected {
+		// Flipping a check or parity position leaves the payload
+		// untouched.
+		if d := c.posData[syndrome]; d >= 0 {
+			data ^= 1 << uint(d)
 		}
-		if pos := c.corr[syndrome]; pos >= 0 {
-			// Flipping a check position leaves the payload untouched.
-			if d := c.posData[pos]; d >= 0 {
-				data ^= 1 << uint(d)
-			}
-			return BitsFromUint64(data), Corrected
-		}
-		// Syndrome points outside the code: ≥3 flips detected.
-		return BitsFromUint64(data), Detected
-	default:
-		// Even number of flips with a nonzero syndrome → DUE.
-		return BitsFromUint64(data), Detected
 	}
+	return BitsFromUint64(data), status
+}
+
+// status is the SEC-DED decision on a syndrome and the overall parity.
+// An odd flip count is assumed single and corrected (a syndrome of 0
+// means the overall parity bit itself flipped) unless the syndrome
+// points outside the code (≥3 flips). An even count with a nonzero
+// syndrome is detected.
+func (c *HammingCodec) status(syndrome int, odd bool) Status {
+	switch {
+	case !odd && syndrome == 0:
+		return Clean
+	case odd && syndrome <= c.n:
+		return Corrected
+	}
+	return Detected
+}
+
+// Classify implements PatternClassifier.
+func (c *HammingCodec) Classify(delta uint64) Status {
+	syndrome := 0
+	for v := delta & c.codeMask[0]; v != 0; v &= v - 1 {
+		syndrome ^= bits.TrailingZeros64(v)
+	}
+	return c.status(syndrome, bits.OnesCount64(delta)%2 != 0)
 }
 
 // encodeBitwise is the pre-table reference implementation: place data
@@ -403,6 +423,10 @@ func (c *RawCodec) Encode(data Bits) Bits { return data }
 // Decode implements Codec: a raw word can never observe an error.
 func (c *RawCodec) Decode(code Bits) (Bits, Status) { return code, Clean }
 
+// Classify implements PatternClassifier: a raw word can never observe
+// an error.
+func (c *RawCodec) Classify(delta uint64) Status { return Clean }
+
 // DMRCodec stores every data word twice (dual modular redundancy) — the
 // duplication-based SPM protection of the paper's related work [3].
 // Reads compare the copies: a mismatch is detected but not correctable
@@ -444,12 +468,16 @@ func (c *DMRCodec) Encode(data Bits) Bits {
 // Decode implements Codec: mismatching copies are a detected,
 // unrecoverable error; the first copy is returned as the best effort.
 func (c *DMRCodec) Decode(code Bits) (Bits, Status) {
-	a := code.w[0] & c.mask
-	b := (code.w[0] >> uint(c.k)) & c.mask
-	if a != b {
-		return BitsFromUint64(a), Detected
+	return BitsFromUint64(code.w[0] & c.mask), c.Classify(code.w[0])
+}
+
+// Classify implements PatternClassifier: flips that differ between the
+// copies are detected.
+func (c *DMRCodec) Classify(delta uint64) Status {
+	if delta&c.mask != delta>>uint(c.k)&c.mask {
+		return Detected
 	}
-	return BitsFromUint64(a), Clean
+	return Clean
 }
 
 // encodeBitwise is the pre-table reference implementation.

@@ -100,6 +100,17 @@ func TestSoakLaneEquivalence(t *testing.T) {
 			structures: []core.Structure{core.StructFTSPM, core.StructPureSRAM},
 		},
 		{
+			// Dense strikes on both SPMs: many lanes fault one word,
+			// and the packed engine's strike heap meets ties at one
+			// access.
+			name: "dense-both-spms-sdc",
+			opts: SoakOptions{
+				Trials: 64, Scale: 0.02, StrikesPerAccess: 0.05, Seed: 31,
+				Target: sim.TargetBothSPMs, Recovery: &sdc,
+			},
+			structures: []core.Structure{core.StructFTSPM, core.StructPureSRAM},
+		},
+		{
 			name: "no-strikes",
 			opts: SoakOptions{
 				Trials: 2, Scale: 0.02, Seed: 23, Recovery: &rollback,

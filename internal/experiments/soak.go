@@ -133,8 +133,8 @@ type FallbackCounts struct {
 	// WideCodeword counts structures whose codewords exceed one lane
 	// word.
 	WideCodeword uint64 `json:"wide_codeword"`
-	// Other counts the remaining declines: a codec without a
-	// lane-parallel classifier, or a recorded operation the packed
+	// Other counts the remaining declines: a codec without an
+	// error-pattern classifier, or a recorded operation the packed
 	// replay cannot reproduce.
 	Other uint64 `json:"other"`
 }

@@ -3,6 +3,7 @@ package simd
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -77,10 +78,16 @@ type Engine struct {
 	sched  [MaxLanes][]strike
 	cursor [MaxLanes]int
 
+	// due is a min-heap of the lanes with strikes left to apply, keyed
+	// dueKey(atAccess, lane) by each lane's next strike; dueN is its
+	// size. due[0] is ^0, above every key, when the heap is empty, so
+	// one compare per op tells whether any strike is due.
+	due  [MaxLanes]uint64
+	dueN int
+
 	strikes [MaxLanes]uint64
 	stats   [MaxLanes]spm.RecoveryStats
 	tally   [MaxLanes]faults.Tally
-	planes  [MaxLanes]uint64
 }
 
 // NewEngine builds an engine over the skeleton. The injection is
@@ -115,7 +122,40 @@ func NewEngine(sk *Skeleton, inj Injection) (*Engine, error) {
 	e.stream = rng.New(0)
 	e.rng = rand.New(e.stream)
 	e.thresh = rng.Float64Threshold(inj.StrikesPerAccess)
+	if n := schedCap(sk, inj); n > 0 {
+		for l := range e.sched {
+			e.sched[l] = make([]strike, 0, n)
+		}
+	}
 	return e, nil
+}
+
+// schedCap sizes a lane's strike schedule. An access schedules a strike
+// with probability q, the strike rate times the non-immune share of the
+// struck surface's bits, and at most once, so a lane's schedule length
+// is binomial. At its mean plus 8 standard deviations a schedule
+// practically never grows, whatever the seeds.
+func schedCap(sk *Skeleton, inj Injection) int {
+	live := func(surf []faults.RegionSurface) (n int) {
+		for _, r := range surf {
+			if !r.Immune {
+				n += r.Words * r.CodeBits
+			}
+		}
+		return n
+	}
+	q := float64(live(sk.dSurf)) / float64(sk.dBits)
+	switch inj.Target {
+	case sim.TargetInstSPM:
+		q = float64(live(sk.iSurf)) / float64(sk.iBits)
+	case sim.TargetBothSPMs:
+		q = float64(live(sk.iSurf)+live(sk.dSurf)) / float64(sk.iBits+sk.dBits)
+	}
+	if q *= min(inj.StrikesPerAccess, 1); !(q > 0) { // also false for NaN
+		return 0
+	}
+	mean := float64(sk.accesses) * q
+	return int(mean + 8*math.Sqrt(mean*(1-q)) + 8)
 }
 
 // reset returns all shared and per-lane state to power-on.
@@ -209,36 +249,76 @@ func (e *Engine) drawStrike(rng *rand.Rand, a uint64) (strike, bool) {
 	}, true
 }
 
-func (e *Engine) applyStrike(l int, s *strike) {
-	d := &e.delta[s.region][int(s.word)*MaxLanes+l]
-	*d ^= s.delta
-	if *d != 0 {
-		e.mask[s.region][s.word] |= 1 << uint(l)
-	} else {
-		e.mask[s.region][s.word] &^= 1 << uint(l)
+// dueKey orders lane l's strike at access a in the due heap.
+func dueKey(a uint32, l int) uint64 { return uint64(a)<<8 | uint64(l) }
+
+// sift places key k at position i of the due heap and moves it down
+// until the heap below i is in order again.
+func (e *Engine) sift(i int, k uint64) {
+	for n := e.dueN; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && e.due[c+1] < e.due[c] {
+			c++
+		}
+		if k <= e.due[c] {
+			break
+		}
+		e.due[i] = e.due[c]
+		i = c
+	}
+	e.due[i] = k
+}
+
+// strikeThrough applies, in heap order, every scheduled strike whose
+// key is at most last. Strikes of different lanes touch disjoint state,
+// so only each lane's own order matters, and the heap keeps it.
+func (e *Engine) strikeThrough(last uint64) {
+	for e.due[0] <= last {
+		l := int(e.due[0] & 0xff)
+		sc, cur := e.sched[l], e.cursor[l]
+		s := &sc[cur]
+		d := &e.delta[s.region][int(s.word)*MaxLanes+l]
+		if *d ^= s.delta; *d != 0 {
+			e.mask[s.region][s.word] |= 1 << uint(l)
+		} else {
+			e.mask[s.region][s.word] &^= 1 << uint(l)
+		}
+		cur++
+		e.cursor[l] = cur
+		if cur < len(sc) {
+			e.sift(0, dueKey(sc[cur].atAccess, l))
+			continue
+		}
+		e.dueN--
+		if e.dueN == 0 {
+			e.due[0] = ^uint64(0)
+			return
+		}
+		e.sift(0, e.due[e.dueN])
 	}
 }
 
-// classify builds the bit-sliced planes for one faulted word and runs
-// the region's lane-parallel decoder over the faulted lanes. Lanes
-// outside the mask hold the fault-free codeword and are trivially
-// clean, so only faulted lanes are active.
+// classify returns the faulted lanes of one word whose stored codeword
+// would decode Corrected and Detected. A stored word is the fault-free
+// codeword XOR the lane's delta, and the codec's status depends on the
+// error pattern alone (ecc.PatternClassifier), so each faulted lane is
+// classified from its delta. Lanes outside the mask are clean.
 func (e *Engine) classify(r int, w int) (corrected, detected uint64) {
-	rs := &e.sk.regions[r]
-	m := e.mask[r][w]
-	base := e.base[r][w]
-	for p := 0; p < rs.codeBits; p++ {
-		// Broadcast the fault-free codeword bit across all lanes.
-		e.planes[p] = -(base >> uint(p) & 1)
-	}
-	delta := e.delta[r]
-	for mm := m; mm != 0; mm &= mm - 1 {
-		l := bits.TrailingZeros64(mm)
-		for d := delta[w*MaxLanes+l]; d != 0; d &= d - 1 {
-			e.planes[bits.TrailingZeros64(d)] ^= 1 << uint(l)
+	cls := e.sk.regions[r].classify
+	delta := e.delta[r][w*MaxLanes : (w+1)*MaxLanes]
+	for m := e.mask[r][w]; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		switch cls.Classify(delta[l]) {
+		case ecc.Corrected:
+			corrected |= 1 << uint(l)
+		case ecc.Detected:
+			detected |= 1 << uint(l)
 		}
 	}
-	return rs.lanes.ClassifyLanes(e.planes[:rs.codeBits], m)
+	return corrected, detected
 }
 
 // repair replicates the scalar scrub-on-read store: the stored word
@@ -282,23 +362,26 @@ func (e *Engine) runWrite(o *op) {
 	}
 }
 
-// runAccessRead replays a checked read on the program access path:
-// corrected lanes count a DRE and repair in place, detected lanes go
-// to the recovery policy with the serving block's residency class.
-func (e *Engine) runAccessRead(o *op) {
-	r := int(o.region)
-	for i := 0; i < int(o.words); i++ {
-		w := int(o.word) + i
+// runRead replays a checked read. Corrected lanes repair in place. On
+// the program access path (opAccessRead) they also count a DRE, and
+// detected lanes go to the recovery policy with the serving block's
+// residency class; a write-back read (opEvictRead) drops the detection
+// outcome.
+func (e *Engine) runRead(o *op) {
+	r, access := int(o.region), o.kind == opAccessRead
+	for w := int(o.word); w < int(o.word+o.words); w++ {
 		if e.mask[r][w] == 0 {
 			continue
 		}
 		corrected, detected := e.classify(r, w)
 		for m := corrected; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			e.stats[l].CorrectedOnAccess++
+			if access {
+				e.stats[l].CorrectedOnAccess++
+			}
 			e.repair(r, w, l)
 		}
-		if detected != 0 {
+		if access && detected != 0 {
 			e.recoverLanes(spm.SiteAccess, o.class, r, w, detected)
 		}
 	}
@@ -322,23 +405,6 @@ func (e *Engine) recoverLanes(site spm.DUESite, class byte, r, w int, detected u
 		st.RecoveryCycles += charge
 		if rewrites {
 			e.clearLane(r, w, l)
-		}
-	}
-}
-
-// runEvictRead replays a write-back read whose detection outcome the
-// controller drops: corrections still repair the stored word, detected
-// errors trigger nothing.
-func (e *Engine) runEvictRead(o *op) {
-	r := int(o.region)
-	for i := 0; i < int(o.words); i++ {
-		w := int(o.word) + i
-		if e.mask[r][w] == 0 {
-			continue
-		}
-		corrected, _ := e.classify(r, w)
-		for m := corrected; m != 0; m &= m - 1 {
-			e.repair(r, w, bits.TrailingZeros64(m))
 		}
 	}
 }
@@ -438,7 +504,23 @@ func (e *Engine) RunBatch(ctx context.Context, seeds []int64, out []TrialResult)
 			e.plan(l, seeds[l])
 		}
 	}
+	return e.replay(ctx, lanes, out)
+}
 
+// replay runs the skeleton's ops for the first lanes lanes under their
+// planned schedules, merged into the op stream through the due heap,
+// and writes each lane's result to out.
+func (e *Engine) replay(ctx context.Context, lanes int, out []TrialResult) error {
+	e.dueN, e.due[0] = 0, ^uint64(0)
+	for l := 0; l < lanes; l++ {
+		if len(e.sched[l]) > 0 {
+			e.due[e.dueN] = dueKey(e.sched[l][0].atAccess, l)
+			e.dueN++
+		}
+	}
+	for i := e.dueN/2 - 1; i >= 0; i-- {
+		e.sift(i, e.due[i])
+	}
 	sk := e.sk
 	for i := range sk.ops {
 		o := &sk.ops[i]
@@ -447,35 +529,21 @@ func (e *Engine) RunBatch(ctx context.Context, seeds []int64, out []TrialResult)
 				return fmt.Errorf("%w after %d ops: %w", sim.ErrCanceled, i, err)
 			}
 		}
-		for l := 0; l < lanes; l++ {
-			sc := e.sched[l]
-			cur := e.cursor[l]
-			for cur < len(sc) && sc[cur].atAccess <= o.atAccess {
-				e.applyStrike(l, &sc[cur])
-				cur++
-			}
-			e.cursor[l] = cur
+		if last := dueKey(o.atAccess, MaxLanes-1); e.due[0] <= last {
+			e.strikeThrough(last)
 		}
 		switch o.kind {
 		case opWrite:
 			e.runWrite(o)
-		case opAccessRead:
-			e.runAccessRead(o)
-		case opEvictRead:
-			e.runEvictRead(o)
+		case opAccessRead, opEvictRead:
+			e.runRead(o)
 		case opScrub:
 			e.runScrub(o)
 		}
 	}
 	// Strikes landing after the last recorded op still corrupt state
 	// the end-of-run audit sees.
-	for l := 0; l < lanes; l++ {
-		sc := e.sched[l]
-		for cur := e.cursor[l]; cur < len(sc); cur++ {
-			e.applyStrike(l, &sc[cur])
-		}
-		e.cursor[l] = len(sc)
-	}
+	e.strikeThrough(dueKey(math.MaxUint32, MaxLanes-1))
 
 	for l := 0; l < lanes; l++ {
 		e.tally[l].Benign = sk.baseBenign

@@ -148,60 +148,67 @@ func TestRunBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunBatchSteadyStateAllocs: after the first (warm-up) batch,
-// RunBatch must not allocate.
+// TestRunBatchSteadyStateAllocs: RunBatch must not allocate, even for
+// seeds no earlier batch planned: every measured batch draws fresh
+// seeds, so a schedule that outgrew its build-time size would show.
 func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	_, eng := buildEngine(t, 0.05)
 	seeds := make([]int64, simd.MaxLanes)
-	for l := range seeds {
-		seeds[l] = int64(l + 1)
-	}
 	out := make([]simd.TrialResult, simd.MaxLanes)
-	if err := eng.RunBatch(context.Background(), seeds, out); err != nil {
-		t.Fatal(err)
-	}
+	next := int64(1)
 	allocs := testing.AllocsPerRun(3, func() {
+		for l := range seeds {
+			seeds[l] = next
+			next += 1_000_003
+		}
 		if err := eng.RunBatch(context.Background(), seeds, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state RunBatch allocates %.1f times per batch, want 0", allocs)
+		t.Errorf("RunBatch allocates %.1f times per batch, want 0", allocs)
 	}
 }
 
 // BenchmarkRunBatch times one full packed batch, strike planning
-// included: 64 lanes at p = 0.01 over the case study at scale 0.05.
+// included, per structure at the soak's defaults: 64 lanes at p = 0.01
+// striking the data SPM, rollback recovery, the case study at scale
+// 0.05. Every batch draws fresh seeds.
 func BenchmarkRunBatch(b *testing.B) {
-	cfg, events, w := buildConfig(b, core.StructFTSPM, 0.05)
-	sk, err := simd.BuildSkeleton(context.Background(), w.Program(), cfg, events)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := simd.NewEngine(sk, simd.Injection{
-		StrikesPerAccess: 0.01,
-		Dist:             faults.Dist40nm,
-		Target:           sim.TargetBothSPMs,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	seeds := make([]int64, simd.MaxLanes)
-	out := make([]simd.TrialResult, simd.MaxLanes)
-	batch := func(i int) {
-		for l := range seeds {
-			seeds[l] = int64(i*simd.MaxLanes + l + 1)
-		}
-		if err := eng.RunBatch(context.Background(), seeds, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// A warm-up batch sizes the per-lane schedules.
-	batch(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch(i)
+	for _, s := range []struct {
+		name string
+		s    core.Structure
+	}{
+		{"FTSPM", core.StructFTSPM},
+		{"PureSRAM", core.StructPureSRAM},
+		{"PureSTT", core.StructPureSTT},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			cfg, events, w := buildConfig(b, s.s, 0.05)
+			sk, err := simd.BuildSkeleton(context.Background(), w.Program(), cfg, events)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := simd.NewEngine(sk, simd.Injection{
+				StrikesPerAccess: 0.01,
+				Dist:             faults.Dist40nm,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			seeds := make([]int64, simd.MaxLanes)
+			out := make([]simd.TrialResult, simd.MaxLanes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l := range seeds {
+					seeds[l] = int64(i*simd.MaxLanes + l + 1)
+				}
+				if err := eng.RunBatch(context.Background(), seeds, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

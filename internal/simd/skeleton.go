@@ -12,12 +12,12 @@
 // strike history. One instrumented scalar run therefore yields a
 // region-level operation skeleton (skeleton.go), and a packed engine
 // (engine.go) replays that skeleton against 64 strike scenarios at
-// once, tracking per-lane codeword deltas and classifying them with the
-// lane-parallel decoders of internal/ecc. Scenarios whose configuration
-// breaks the shared-trajectory argument (a wear model, an operation the
-// replay cannot reproduce) are rejected with ErrUnsupported, and the
-// caller falls back to the scalar path — the packed engine is an
-// optimization, never a semantic fork.
+// once, tracking per-lane codeword deltas and classifying each faulted
+// lane from its delta alone (ecc.PatternClassifier). Scenarios whose
+// configuration breaks the shared-trajectory argument (a wear model, an
+// operation the replay cannot reproduce) are rejected with
+// ErrUnsupported, and the caller falls back to the scalar path — the
+// packed engine is an optimization, never a semantic fork.
 package simd
 
 import (
@@ -82,9 +82,8 @@ type op struct {
 // regionState is the static per-region geometry the engine needs.
 type regionState struct {
 	codec    ecc.Codec
-	lanes    ecc.LaneClassifier // nil for immune regions
+	classify ecc.PatternClassifier // nil for immune regions
 	words    int
-	codeBits int
 	immune   bool
 	// charges are the region's per-word recovery costs, taken once
 	// from spm so the replay never touches the latency models.
@@ -249,20 +248,19 @@ func BuildSkeleton(ctx context.Context, prog *program.Program, cfg sim.Config, e
 		codec := r.Codec()
 		immune := r.Kind().Immune()
 		rs := regionState{
-			codec:    codec,
-			words:    r.Words(),
-			codeBits: codec.CodeBits(),
-			immune:   immune,
+			codec:  codec,
+			words:  r.Words(),
+			immune: immune,
 		}
 		if !immune {
-			if rs.codeBits > 64 {
+			if codec.CodeBits() > 64 {
 				return nil, fmt.Errorf("%w (%s)", ErrWideCodeword, codec.Name())
 			}
-			lanes, ok := codec.(ecc.LaneClassifier)
+			cls, ok := codec.(ecc.PatternClassifier)
 			if !ok {
-				return nil, fmt.Errorf("%w: %s has no lane-parallel classifier", ErrUnsupported, codec.Name())
+				return nil, fmt.Errorf("%w: %s has no error-pattern classifier", ErrUnsupported, codec.Name())
 			}
-			rs.lanes = lanes
+			rs.classify = cls
 			rs.charges = r.RecoveryCharges(cfg.DRAM)
 		}
 		sk.regions = append(sk.regions, rs)

@@ -248,7 +248,7 @@ func NewRegion(kind RegionKind, sizeBytes int) (*Region, error) {
 func (r *Region) Kind() RegionKind { return r.kind }
 
 // Codec returns the region's live error-coding codec, shared with the
-// packed soak engine so its lane-parallel classification and the stored
+// packed soak engine so its per-lane classification and the stored
 // words stay codeword-compatible by construction.
 func (r *Region) Codec() ecc.Codec { return r.codec }
 
