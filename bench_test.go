@@ -39,12 +39,28 @@ func sweep(b *testing.B) *experiments.Sweep {
 	return sweepCache
 }
 
-func BenchmarkTableI_CaseStudyProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.TableI(benchOpts)
+// caseStudyCache shares the case-study evaluation (Tables I-III, Fig. 2,
+// the Section IV scalars and the related-work comparison) across
+// benchmarks within one run, as ftspm-bench evaluates it once.
+var caseStudyCache *experiments.CaseStudy
+
+func caseStudy(b *testing.B) *experiments.CaseStudy {
+	b.Helper()
+	if caseStudyCache == nil {
+		cs, err := experiments.RunCaseStudy(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		caseStudyCache = cs
+	}
+	return caseStudyCache
+}
+
+func BenchmarkTableI_CaseStudyProfile(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := experiments.TableI(cs)
 		if len(t.Rows) != 8 {
 			b.Fatalf("Table I rows = %d, want the 8 case-study blocks", len(t.Rows))
 		}
@@ -52,11 +68,10 @@ func BenchmarkTableI_CaseStudyProfile(b *testing.B) {
 }
 
 func BenchmarkTableII_CaseStudyMapping(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.TableII(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := experiments.TableII(cs)
 		if len(t.Rows) != 8 {
 			b.Fatalf("Table II rows = %d", len(t.Rows))
 		}
@@ -64,11 +79,10 @@ func BenchmarkTableII_CaseStudyMapping(b *testing.B) {
 }
 
 func BenchmarkTableIII_Endurance(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.TableIII(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res, _ := experiments.TableIII(cs)
 		if res.Improvement() < 100 {
 			b.Fatalf("endurance improvement %.0fx, want orders of magnitude", res.Improvement())
 		}
@@ -88,11 +102,10 @@ func BenchmarkTableIV_Configurations(b *testing.B) {
 }
 
 func BenchmarkFig2_CaseStudyDistribution(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Fig2(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t := experiments.Fig2(cs)
 		if len(t.Rows) != 3 {
 			b.Fatal("Fig. 2 must report all three regions")
 		}
@@ -100,12 +113,11 @@ func BenchmarkFig2_CaseStudyDistribution(b *testing.B) {
 }
 
 func BenchmarkCaseStudy_Scalars(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs, err := experiments.CaseStudy(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if cs.ReliabilityFTSPM <= cs.ReliabilityBaseline {
+		sc := experiments.SectionIV(cs)
+		if sc.ReliabilityFTSPM <= sc.ReliabilityBaseline {
 			b.Fatal("FTSPM must beat the baseline reliability")
 		}
 	}
@@ -397,11 +409,10 @@ func BenchmarkAblation_Scrubbing(b *testing.B) {
 }
 
 func BenchmarkAblation_RelatedWork(b *testing.B) {
+	cs := caseStudy(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.RelatedWork(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows, _ := experiments.RelatedWork(cs)
 		if len(rows) != 4 {
 			b.Fatal("incomplete related-work comparison")
 		}

@@ -126,41 +126,28 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	// Case-study experiments (Section IV).
-	t1, err := experiments.TableI(opts)
+	// Case-study experiments (Section IV), evaluated once for every
+	// table that formats them.
+	cs, err := experiments.RunCaseStudy(opts)
 	if err != nil {
 		return err
 	}
-	if err := emit("table1_case_study_profile", t1); err != nil {
+	if err := emit("table1_case_study_profile", experiments.TableI(cs)); err != nil {
 		return err
 	}
-	t2, err := experiments.TableII(opts)
-	if err != nil {
+	if err := emit("table2_case_study_mapping", experiments.TableII(cs)); err != nil {
 		return err
 	}
-	if err := emit("table2_case_study_mapping", t2); err != nil {
+	if err := emit("fig2_case_study_distribution", experiments.Fig2(cs)); err != nil {
 		return err
 	}
-	f2, err := experiments.Fig2(opts)
-	if err != nil {
-		return err
-	}
-	if err := emit("fig2_case_study_distribution", f2); err != nil {
-		return err
-	}
-	cs, err := experiments.CaseStudy(opts)
-	if err != nil {
-		return err
-	}
+	sc := experiments.SectionIV(cs)
 	fmt.Fprintf(out, "Section IV scalars: reliability %s vs %s baseline; dynamic %s of baseline; static %s of baseline; perf overhead %s\n\n",
-		report.Pct(cs.ReliabilityFTSPM), report.Pct(cs.ReliabilityBaseline),
-		report.Pct(cs.DynamicVsSRAM), report.Pct(cs.StaticVsSRAM),
-		report.Pct(cs.PerfOverheadVsSRAM))
+		report.Pct(sc.ReliabilityFTSPM), report.Pct(sc.ReliabilityBaseline),
+		report.Pct(sc.DynamicVsSRAM), report.Pct(sc.StaticVsSRAM),
+		report.Pct(sc.PerfOverheadVsSRAM))
 
-	_, t3, err := experiments.TableIII(opts)
-	if err != nil {
-		return err
-	}
+	_, t3 := experiments.TableIII(cs)
 	if err := emit("table3_endurance", t3); err != nil {
 		return err
 	}
@@ -287,10 +274,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err := emit("ablation_scrubbing", st); err != nil {
 			return err
 		}
-		_, rw, err := experiments.RelatedWork(opts)
-		if err != nil {
-			return err
-		}
+		_, rw := experiments.RelatedWork(cs)
 		if err := emit("related_work", rw); err != nil {
 			return err
 		}

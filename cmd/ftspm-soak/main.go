@@ -34,8 +34,9 @@
 //
 // -lanes controls the bit-parallel packed engine (internal/simd): 0
 // (the default) packs up to 64 trials per trace pass, 1 forces the
-// scalar simulator, 2..64 caps the batch width. Results are identical
-// either way; the knob exists for benchmarking and bisection.
+// scalar simulator, 2..64 caps the batch width; any other value exits
+// 2. Results are identical either way; the knob exists for benchmarking
+// and bisection.
 //
 // -storm replaces the memoryless strike process with the correlated
 // fault storm (DESIGN.md §17): Markov-modulated calm/storm bursts,
@@ -190,6 +191,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if (*stormHot != 0 || *stormThermal != 1) && !*storm {
 		return campaign.Usagef("-storm-* knobs need -storm")
+	}
+	if err := experiments.ValidateLanes(*lanes); err != nil {
+		return err
 	}
 	if err := fc.Open(); err != nil {
 		return err

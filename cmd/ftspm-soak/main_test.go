@@ -94,6 +94,9 @@ func TestRunSoakUsageErrors(t *testing.T) {
 		{"-parallel", "-1"},
 		{"-lease", "-1s"},
 		{"-structures", "warp-core"},
+		{"-lanes", "-7"},
+		{"-lanes", "65"},
+		{"-lanes", "999"},
 	}
 	for _, args := range cases {
 		err := run(context.Background(), args, &bytes.Buffer{})

@@ -25,39 +25,22 @@ func main() {
 }
 
 func run() error {
-	opts := experiments.Options{Scale: 0.25}
-
-	t1, err := experiments.TableI(opts)
+	// One evaluation of the case study backs every table below.
+	study, err := experiments.RunCaseStudy(experiments.Options{Scale: 0.25})
 	if err != nil {
 		return err
 	}
-	if err := t1.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
 
-	t2, err := experiments.TableII(opts)
-	if err != nil {
-		return err
+	for _, t := range []*report.Table{
+		experiments.TableI(study), experiments.TableII(study), experiments.Fig2(study),
+	} {
+		if err := t.Render(os.Stdout); err != nil {
+			return err
+		}
+		fmt.Println()
 	}
-	if err := t2.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
 
-	f2, err := experiments.Fig2(opts)
-	if err != nil {
-		return err
-	}
-	if err := f2.Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-
-	cs, err := experiments.CaseStudy(opts)
-	if err != nil {
-		return err
-	}
+	cs := experiments.SectionIV(study)
 	fmt.Println("Section IV headline results (paper values in parentheses):")
 	fmt.Printf("  FTSPM reliability:     %s  (paper ~86%%)\n", report.Pct(cs.ReliabilityFTSPM))
 	fmt.Printf("  baseline reliability:  %s  (paper ~62%%)\n", report.Pct(cs.ReliabilityBaseline))

@@ -40,8 +40,9 @@ func run() error {
 	fmt.Printf("workload: %s — %s\n", w.Name, w.Description)
 
 	// 2. Off-line profiling (the paper's static profiling phase):
-	//    per-block reads/writes/references/life-times.
-	prof, err := profile.Run(w.Program(), w.Trace(0.25))
+	//    per-block reads/writes/references/life-times. The trace is
+	//    streamed: generated as it is read, never held whole.
+	prof, err := profile.Run(w.Program(), w.TraceStream(0.25))
 	if err != nil {
 		return err
 	}
@@ -63,12 +64,13 @@ func run() error {
 		fmt.Printf("  %-14s -> %-12s (%s)\n", d.Block.Name, where, d.Reason)
 	}
 
-	// 4. Execute on the simulated platform (Table IV geometry).
+	// 4. Execute on the simulated platform (Table IV geometry), on a
+	//    second stream of the same deterministic trace.
 	machine, err := sim.New(w.Program(), spec.SimConfig(mapping.Placement))
 	if err != nil {
 		return err
 	}
-	res, err := machine.Run(w.Trace(0.25))
+	res, err := machine.Run(w.TraceStream(0.25))
 	if err != nil {
 		return err
 	}

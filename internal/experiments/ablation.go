@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -17,7 +16,6 @@ import (
 	"ftspm/internal/schedule"
 	"ftspm/internal/sim"
 	"ftspm/internal/spm"
-	"ftspm/internal/trace"
 	"ftspm/internal/workloads"
 )
 
@@ -25,19 +23,6 @@ import (
 // it, holding everything else at the defaults. They are extensions
 // beyond the paper's own evaluation (its "according to system
 // requirements" knobs), indexed in DESIGN.md §4.
-
-// ablationTraces caches materialized traces for the ablation drivers,
-// which replay the same (workload, scale) trace many times in a row —
-// once for the profile, then once per swept design point. Cached
-// traces are immutable and the replay streams own their cursors, so
-// the shared cache never breaks determinism.
-var ablationTraces = workloads.NewTraceCache(2)
-
-// cachedTrace returns a replay stream over the (possibly cached)
-// materialized trace of (w, scale).
-func cachedTrace(w workloads.Workload, scale float64) trace.Stream {
-	return ablationTraces.Stream(w, scale)
-}
 
 // ScheduleComparison contrasts the two implementations of the on-line
 // phase: on-demand LRU transfers versus the statically planned (SMI,
@@ -55,6 +40,8 @@ type ScheduleComparison struct {
 
 // AblationSchedule runs one workload on FTSPM twice — on-demand and with
 // a static Belady plan — and reports the transfer-traffic difference.
+// Every pass streams the trace; the plan's builder alone keeps a use
+// list per access (schedule.Build).
 func AblationSchedule(workloadName string, opts Options) (ScheduleComparison, error) {
 	opts = opts.normalize()
 	w, err := workloads.ByName(workloadName)
@@ -62,36 +49,21 @@ func AblationSchedule(workloadName string, opts Options) (ScheduleComparison, er
 		return ScheduleComparison{}, err
 	}
 	spec := core.MustSpec(core.StructFTSPM)
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
+	outs, err := evaluateAll(w, nil, opts.Scale, []variant{{spec: spec, opts: opts}})
 	if err != nil {
 		return ScheduleComparison{}, err
 	}
-	mapping, err := core.MapBlocks(prof, spec, opts.Thresholds, opts.Priority)
-	if err != nil {
-		return ScheduleComparison{}, err
-	}
-
-	runMachine := func(plan *schedule.Plan) (sim.Result, error) {
-		m, err := sim.New(w.Program(), spec.SimConfig(mapping.Placement))
-		if err != nil {
-			return sim.Result{}, err
-		}
-		if plan == nil {
-			return m.Run(cachedTrace(w, opts.Scale))
-		}
-		return m.RunWithPlan(cachedTrace(w, opts.Scale), plan)
-	}
-
-	onDemand, err := runMachine(nil)
-	if err != nil {
-		return ScheduleComparison{}, err
-	}
-	plan, err := schedule.Build(w.Program(), mapping.Placement, cachedTrace(w, opts.Scale),
+	onDemand, placement := outs[0].Sim, outs[0].Mapping.Placement
+	plan, err := schedule.Build(w.Program(), placement, w.TraceStream(opts.Scale),
 		schedule.RegionWords(spec.ISPM), schedule.RegionWords(spec.DSPM))
 	if err != nil {
 		return ScheduleComparison{}, err
 	}
-	scheduled, err := runMachine(plan)
+	m, err := sim.New(w.Program(), spec.SimConfig(placement))
+	if err != nil {
+		return ScheduleComparison{}, err
+	}
+	scheduled, err := m.RunWithPlan(w.TraceStream(opts.Scale), plan)
 	if err != nil {
 		return ScheduleComparison{}, err
 	}
@@ -139,21 +111,13 @@ type SplitPoint struct {
 // AblationRegionSplit sweeps the division of the 4 KB SRAM half of the
 // FTSPM data SPM between the ECC and parity regions (the paper fixes
 // 2 KB + 2 KB without justification) and evaluates the case study on
-// each split.
+// each split, all five in one group.
 func AblationRegionSplit(opts Options) ([]SplitPoint, *report.Table, error) {
 	opts = opts.normalize()
-	w := workloads.CaseStudy()
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
-	if err != nil {
-		return nil, nil, err
-	}
-
-	t := report.New(
-		"Ablation: ECC/parity split of the 4 KB SRAM share (case study)",
-		"ECC", "Parity", "Vulnerability", "Dynamic energy", "Cycles")
-	var points []SplitPoint
 	const kb = 1024
-	for _, split := range [][2]int{{0, 4}, {1, 3}, {2, 2}, {3, 1}, {4, 0}} {
+	splits := [][2]int{{0, 4}, {1, 3}, {2, 2}, {3, 1}, {4, 0}}
+	variants := make([]variant, len(splits))
+	for i, split := range splits {
 		spec := core.MustSpec(core.StructFTSPM)
 		spec.DSPM = []spm.RegionConfig{{Kind: spm.RegionSTT, SizeBytes: 12 * kb}}
 		spec.DataKinds = []spm.RegionKind{spm.RegionSTT}
@@ -165,10 +129,19 @@ func AblationRegionSplit(opts Options) ([]SplitPoint, *report.Table, error) {
 			spec.DSPM = append(spec.DSPM, spm.RegionConfig{Kind: spm.RegionParity, SizeBytes: split[1] * kb})
 			spec.DataKinds = append(spec.DataKinds, spm.RegionParity)
 		}
-		out, err := evaluateSpec(context.Background(), w, spec, prof, opts)
-		if err != nil {
-			return nil, nil, err
-		}
+		variants[i] = variant{spec: spec, opts: opts}
+	}
+	outs, err := evaluateAll(workloads.CaseStudy(), nil, opts.Scale, variants)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	t := report.New(
+		"Ablation: ECC/parity split of the 4 KB SRAM share (case study)",
+		"ECC", "Parity", "Vulnerability", "Dynamic energy", "Cycles")
+	var points []SplitPoint
+	for i, split := range splits {
+		out := outs[i]
 		p := SplitPoint{
 			ECCBytes:        split[0] * kb,
 			ParityBytes:     split[1] * kb,
@@ -198,23 +171,25 @@ func AblationPriorities(workloadName string, opts Options) (*report.Table, error
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
+	prios := []core.Priority{
+		core.PriorityReliability, core.PriorityPerformance,
+		core.PriorityPower, core.PriorityEndurance,
+	}
+	variants := make([]variant, len(prios))
+	for i, prio := range prios {
+		o := opts
+		o.Priority = prio
+		variants[i] = variant{spec: core.MustSpec(core.StructFTSPM), opts: o}
+	}
+	outs, err := evaluateAll(w, nil, opts.Scale, variants)
 	if err != nil {
 		return nil, err
 	}
 	t := report.New(
 		"Ablation: MDA multi-priority mapping ("+workloadName+")",
 		"Priority", "STT data blocks", "Vulnerability", "Cycles", "Dynamic energy", "Max STT cell writes/s")
-	for _, prio := range []core.Priority{
-		core.PriorityReliability, core.PriorityPerformance,
-		core.PriorityPower, core.PriorityEndurance,
-	} {
-		o := opts
-		o.Priority = prio
-		out, err := evaluateSpec(context.Background(), w, core.MustSpec(core.StructFTSPM), prof, o)
-		if err != nil {
-			return nil, err
-		}
+	for i, prio := range prios {
+		out := outs[i]
 		sttBlocks := 0
 		for id, kind := range out.Mapping.Placement {
 			b, err := w.Program().Block(id)
@@ -252,16 +227,9 @@ type ThresholdPoint struct {
 // up some AVF for orders of magnitude of endurance.
 func AblationWriteThreshold(opts Options) ([]ThresholdPoint, *report.Table, error) {
 	opts = opts.normalize()
-	w := workloads.CaseStudy()
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
-	if err != nil {
-		return nil, nil, err
-	}
-	t := report.New(
-		"Ablation: step 5 write-cycle threshold, other budgets relaxed (case study)",
-		"Write fraction", "Vulnerability", "Max STT cell writes/s", "Cycles")
-	var points []ThresholdPoint
-	for _, frac := range []float64{0.0025, 0.01, 0.05, 0.2, 0.35, 0.6} {
+	fracs := []float64{0.0025, 0.01, 0.05, 0.2, 0.35, 0.6}
+	variants := make([]variant, len(fracs))
+	for i, frac := range fracs {
 		o := opts
 		o.Thresholds.WriteFraction = frac
 		// Isolate step 5: with the default budgets the performance and
@@ -272,10 +240,18 @@ func AblationWriteThreshold(opts Options) ([]ThresholdPoint, *report.Table, erro
 		o.Thresholds.PerfOverhead = 1000
 		o.Thresholds.EnergyOverhead = 1000
 		o.Thresholds.CellWriteFraction = frac / 10
-		out, err := evaluateSpec(context.Background(), w, core.MustSpec(core.StructFTSPM), prof, o)
-		if err != nil {
-			return nil, nil, err
-		}
+		variants[i] = variant{spec: core.MustSpec(core.StructFTSPM), opts: o}
+	}
+	outs, err := evaluateAll(workloads.CaseStudy(), nil, opts.Scale, variants)
+	if err != nil {
+		return nil, nil, err
+	}
+	t := report.New(
+		"Ablation: step 5 write-cycle threshold, other budgets relaxed (case study)",
+		"Write fraction", "Vulnerability", "Max STT cell writes/s", "Cycles")
+	var points []ThresholdPoint
+	for i, frac := range fracs {
+		out := outs[i]
 		p := ThresholdPoint{
 			WriteFraction: frac,
 			Vulnerability: out.AVF.Vulnerability(),
@@ -423,26 +399,21 @@ type RelatedWorkRow struct {
 	DataCapacityB int
 }
 
-// RelatedWork evaluates the case study on the three paper structures
+// RelatedWork compares the case study on the three paper structures
 // plus the duplication (DMR) comparator of [3], splitting the AVF into
 // its SDC and DUE components: duplication eliminates silent corruption
 // but converts every upset into a detected-unrecoverable error, halves
 // the usable capacity at iso-area (driving blocks off-SPM), and doubles
 // the access energy — the "high overheads" the paper's related-work
 // section claims, quantified.
-func RelatedWork(opts Options) ([]RelatedWorkRow, *report.Table, error) {
-	opts = opts.normalize()
-	w := workloads.CaseStudy()
+func RelatedWork(cs *CaseStudy) ([]RelatedWorkRow, *report.Table) {
 	t := report.New(
 		"Related-work comparison on the case study: FTSPM vs baselines vs duplication [3]",
 		"Structure", "SDC AVF", "DUE AVF", "Reliability", "Dynamic energy",
 		"Static energy", "Cycles", "Data capacity")
 	var rows []RelatedWorkRow
 	for _, s := range core.AllStructures() {
-		out, err := Evaluate(w, s, opts)
-		if err != nil {
-			return nil, nil, err
-		}
+		out := cs.Outcomes[s]
 		r := RelatedWorkRow{
 			Structure:     s,
 			SDCAVF:        out.AVF.SDCAVF,
@@ -462,7 +433,7 @@ func RelatedWork(opts Options) ([]RelatedWorkRow, *report.Table, error) {
 			report.Count(int(r.Cycles)),
 			fmt.Sprintf("%d KB", r.DataCapacityB/1024))
 	}
-	return rows, t, nil
+	return rows, t
 }
 
 // RetentionPoint is one retention-time setting of the relaxed-retention
@@ -631,41 +602,27 @@ func AblationGranularity(workloadName string, opts Options) ([]GranularityPoint,
 	}
 	spec := core.MustSpec(core.StructFTSPM)
 
+	// Each program is its own group: a refined program profiles into
+	// different blocks.
 	evalOn := func(label string, prog *program.Program) (GranularityPoint, error) {
-		prof, err := profile.Run(prog, cachedTrace(w, opts.Scale))
+		outs, err := evaluateAll(w, prog, opts.Scale, []variant{{spec: spec, opts: opts}})
 		if err != nil {
 			return GranularityPoint{}, err
 		}
-		mapping, err := core.MapBlocks(prof, spec, opts.Thresholds, opts.Priority)
-		if err != nil {
-			return GranularityPoint{}, err
-		}
-		machine, err := sim.New(prog, spec.SimConfig(mapping.Placement))
-		if err != nil {
-			return GranularityPoint{}, err
-		}
-		res, err := machine.Run(cachedTrace(w, opts.Scale))
-		if err != nil {
-			return GranularityPoint{}, err
-		}
-		rep, err := avf.Compute(prof, mapping.Placement, faults.Dist40nm,
-			spec.DSPMBytes(), avf.ModePerBlock)
-		if err != nil {
-			return GranularityPoint{}, err
-		}
+		out := outs[0]
 		unmapped := 0
 		for _, b := range prog.Blocks() {
-			if _, ok := mapping.Placement[b.ID]; !ok {
+			if _, ok := out.Mapping.Placement[b.ID]; !ok {
 				unmapped += b.Size
 			}
 		}
 		return GranularityPoint{
 			Label:          label,
 			UnmappedBytes:  unmapped,
-			Cycles:         uint64(res.Cycles),
-			SPMDynamicPJ:   float64(res.SPMDynamicEnergy),
-			TotalDynamicPJ: float64(res.TotalDynamicEnergy()),
-			Vulnerability:  rep.Vulnerability(),
+			Cycles:         uint64(out.Sim.Cycles),
+			SPMDynamicPJ:   float64(out.Sim.SPMDynamicEnergy),
+			TotalDynamicPJ: float64(out.Sim.TotalDynamicEnergy()),
+			Vulnerability:  out.AVF.Vulnerability(),
 		}, nil
 	}
 
@@ -727,7 +684,16 @@ func ValidateAVF(workloadName string, strikesPerAccess float64, seed int64,
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
+	structures := core.Structures()
+	variants := make([]variant, len(structures))
+	for i, s := range structures {
+		variants[i] = variant{spec: core.MustSpec(s), opts: opts, injection: &sim.InjectionConfig{
+			StrikesPerAccess: strikesPerAccess,
+			Dist:             faults.Dist40nm,
+			Seed:             seed,
+		}}
+	}
+	outs, err := evaluateAll(w, nil, opts.Scale, variants)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -737,40 +703,14 @@ func ValidateAVF(workloadName string, strikesPerAccess float64, seed int64,
 			workloadName, strikesPerAccess),
 		"Structure", "Strikes", "Corrected (DRE)", "Detected (DUE)", "Silent (SDC)", "Analytic vulnerability")
 	var rows []ValidationRow
-	for _, s := range core.Structures() {
-		spec := core.MustSpec(s)
-		mapping, err := core.MapBlocks(prof, spec, opts.Thresholds, opts.Priority)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg := spec.SimConfig(mapping.Placement)
-		cfg.Injection = &sim.InjectionConfig{
-			StrikesPerAccess: strikesPerAccess,
-			Dist:             faults.Dist40nm,
-			Seed:             seed,
-		}
-		machine, err := sim.New(w.Program(), cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := machine.Run(cachedTrace(w, opts.Scale))
-		if err != nil {
-			return nil, nil, err
-		}
-		mode := avf.ModeUniform
-		if len(spec.DataKinds) > 1 {
-			mode = avf.ModePerBlock
-		}
-		rep, err := avf.Compute(prof, mapping.Placement, faults.Dist40nm, spec.DSPMBytes(), mode)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, s := range structures {
+		out := outs[i]
 		row := ValidationRow{
 			Structure:             s,
-			Strikes:               res.InjectedStrikes,
-			AnalyticVulnerability: rep.Vulnerability(),
+			Strikes:               out.Sim.InjectedStrikes,
+			AnalyticVulnerability: out.AVF.Vulnerability(),
 		}
-		for _, st := range res.DataRegionStats {
+		for _, st := range out.Sim.DataRegionStats {
 			row.CorrectedReads += st.CorrectedErrors
 			row.DetectedReads += st.DetectedErrors
 			row.SilentReads += st.SilentReads
@@ -807,7 +747,7 @@ func AblationTechNode(workloadName string, opts Options) ([]NodePoint, *report.T
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, err := profile.Run(w.Program(), cachedTrace(w, opts.Scale))
+	prof, err := profile.Run(w.Program(), w.TraceStream(opts.Scale))
 	if err != nil {
 		return nil, nil, err
 	}

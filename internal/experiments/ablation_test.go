@@ -182,10 +182,7 @@ func TestAblationScrubbingReducesAccumulation(t *testing.T) {
 }
 
 func TestRelatedWorkComparison(t *testing.T) {
-	rows, tb, err := RelatedWork(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, tb := RelatedWork(testCaseStudy(t))
 	if len(rows) != 4 || len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 structures", len(rows))
 	}

@@ -15,6 +15,7 @@ import (
 	"ftspm/internal/endurance"
 	"ftspm/internal/faults"
 	"ftspm/internal/profile"
+	"ftspm/internal/program"
 	"ftspm/internal/sim"
 	"ftspm/internal/spm"
 	"ftspm/internal/trace"
@@ -106,37 +107,97 @@ func EvaluateContext(ctx context.Context, w workloads.Workload, structure core.S
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: profile %s: %w", w.Name, err)
 	}
-	return evaluateSpec(ctx, w, spec, prof, opts)
+	return evaluateSolo(ctx, w, variant{spec: spec, opts: opts}, prof, w.TraceStream(opts.Scale))
 }
 
-// evaluateSpec is the Evaluate body for a pre-computed profile and a
-// possibly-customized structure spec (used by the ablation studies).
-// The simulated trace is regenerated as a stream.
-func evaluateSpec(ctx context.Context, w workloads.Workload, spec core.Spec, prof *profile.Profile, opts Options) (Outcome, error) {
-	return evaluateSpecStream(ctx, w, spec, prof, w.TraceStream(opts.normalize().Scale), opts)
+// variant is one machine of an evaluation group: a structure geometry
+// mapped under its own MDA budgets and priority (opts.Scale is unused:
+// the group fixes the trace). A non-nil injection lands live particle
+// strikes on the machine as it runs.
+type variant struct {
+	spec      core.Spec
+	opts      Options
+	injection *sim.InjectionConfig
 }
 
-// evaluateSpecStream is the shared evaluation body: everything after
-// profiling, consuming the simulated trace from the given stream.
-// Profiles are only read here, so one profile may back any number of
-// concurrent calls. The simulation loop polls ctx for cancellation (nil
-// never cancels).
-func evaluateSpecStream(ctx context.Context, w workloads.Workload, spec core.Spec, prof *profile.Profile,
-	st trace.Stream, opts Options) (Outcome, error) {
-	run, err := mapSpec(w, spec, prof, opts)
+// evaluateGroup is the evaluation routine of every driver that
+// evaluates one workload more than once. It streams the workload's
+// trace at scale twice and never holds it: once into the profiler,
+// against prog (nil: the workload's own program), then, after every
+// variant is mapped, once into all the variants' machines in lockstep.
+// outs[i] and errs[i] are variant i's; a profiling failure fails the
+// whole group with err and no outcomes. It polls no context: a group
+// shared by several jobs must not fail because one of them was
+// cancelled.
+func evaluateGroup(w workloads.Workload, prog *program.Program, scale float64, variants []variant) (
+	prof *profile.Profile, outs []Outcome, errs []error, err error) {
+	if prog == nil {
+		prog = w.Program()
+	}
+	prof, err = profile.Run(prog, w.TraceStream(scale))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("experiments: profile %s: %w", w.Name, err)
+	}
+	outs = make([]Outcome, len(variants))
+	errs = make([]error, len(variants))
+	var runs []*specRun
+	var at []int // runs[k] is variant at[k]
+	var machines []*sim.Machine
+	for i, v := range variants {
+		run, err := mapSpec(w, v, prof)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		runs = append(runs, run)
+		at = append(at, i)
+		machines = append(machines, run.machine)
+	}
+	results, runErrs := sim.RunLockstep(w.TraceStream(scale), machines)
+	for k, run := range runs {
+		i := at[k]
+		if runErrs[k] != nil {
+			errs[i] = fmt.Errorf("experiments: run %s/%v: %w", w.Name, run.spec.Structure, runErrs[k])
+			continue
+		}
+		outs[i], errs[i] = run.outcome(results[k])
+	}
+	return prof, outs, errs, nil
+}
+
+// evaluateAll evaluates a group every variant of which the caller
+// needs: it fails with the first error, in variant order.
+func evaluateAll(w workloads.Workload, prog *program.Program, scale float64, variants []variant) ([]Outcome, error) {
+	_, outs, errs, err := evaluateGroup(w, prog, scale, variants)
+	if err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
+// evaluateSolo maps one variant onto a computed profile and runs its
+// machine alone on the stream st, polling ctx for cancellation (nil
+// never cancels). Profiles are only read here, so one profile may back
+// any number of concurrent calls.
+func evaluateSolo(ctx context.Context, w workloads.Workload, v variant, prof *profile.Profile, st trace.Stream) (Outcome, error) {
+	run, err := mapSpec(w, v, prof)
 	if err != nil {
 		return Outcome{}, err
 	}
 	res, err := run.machine.RunContext(ctx, st)
 	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: run %s/%v: %w", w.Name, spec.Structure, err)
+		return Outcome{}, fmt.Errorf("experiments: run %s/%v: %w", w.Name, v.spec.Structure, err)
 	}
 	return run.outcome(res)
 }
 
-// specRun is one structure's evaluation between mapping and
-// accounting: the MDA placement and the machine built on it, waiting
-// for a trace.
+// specRun is one variant's evaluation between mapping and accounting:
+// the MDA placement and the machine built on it, waiting for a trace.
 type specRun struct {
 	w       workloads.Workload
 	spec    core.Spec
@@ -145,19 +206,21 @@ type specRun struct {
 	machine *sim.Machine
 }
 
-// mapSpec maps the profiled workload onto the structure and builds the
-// machine that will execute it.
-func mapSpec(w workloads.Workload, spec core.Spec, prof *profile.Profile, opts Options) (*specRun, error) {
-	opts = opts.normalize()
-	mapping, err := core.MapBlocks(prof, spec, opts.Thresholds, opts.Priority)
+// mapSpec maps the profiled program onto the variant's structure and
+// builds the machine that will execute it.
+func mapSpec(w workloads.Workload, v variant, prof *profile.Profile) (*specRun, error) {
+	opts := v.opts.normalize()
+	mapping, err := core.MapBlocks(prof, v.spec, opts.Thresholds, opts.Priority)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: map %s/%v: %w", w.Name, spec.Structure, err)
+		return nil, fmt.Errorf("experiments: map %s/%v: %w", w.Name, v.spec.Structure, err)
 	}
-	machine, err := sim.New(w.Program(), spec.SimConfig(mapping.Placement))
+	cfg := v.spec.SimConfig(mapping.Placement)
+	cfg.Injection = v.injection
+	machine, err := sim.New(prof.Program(), cfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: build %s/%v: %w", w.Name, spec.Structure, err)
+		return nil, fmt.Errorf("experiments: build %s/%v: %w", w.Name, v.spec.Structure, err)
 	}
-	return &specRun{w: w, spec: spec, prof: prof, mapping: mapping, machine: machine}, nil
+	return &specRun{w: w, spec: v.spec, prof: prof, mapping: mapping, machine: machine}, nil
 }
 
 // outcome completes the evaluation from the machine's execution

@@ -20,6 +20,24 @@ var (
 	sweepErr  error
 )
 
+var (
+	caseStudyOnce sync.Once
+	caseStudyVal  *CaseStudy
+	caseStudyErr  error
+)
+
+// testCaseStudy evaluates the case study once per test binary.
+func testCaseStudy(t *testing.T) *CaseStudy {
+	t.Helper()
+	caseStudyOnce.Do(func() {
+		caseStudyVal, caseStudyErr = RunCaseStudy(testOpts)
+	})
+	if caseStudyErr != nil {
+		t.Fatal(caseStudyErr)
+	}
+	return caseStudyVal
+}
+
 // testSweep computes the suite sweep once per test binary.
 func testSweep(t *testing.T) *Sweep {
 	t.Helper()
@@ -173,10 +191,11 @@ func TestHeadlineEndurance(t *testing.T) {
 func TestCaseStudyScalars(t *testing.T) {
 	// Section IV: reliability 86% vs 62%; dynamic energy 44% lower;
 	// static 56% lower; negligible performance overhead.
-	cs, err := CaseStudy(Options{Scale: 0.15})
+	study, err := RunCaseStudy(Options{Scale: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs := SectionIV(study)
 	if cs.ReliabilityBaseline < 0.619 || cs.ReliabilityBaseline > 0.621 {
 		t.Errorf("baseline reliability = %.3f, want 0.62", cs.ReliabilityBaseline)
 	}
@@ -195,10 +214,7 @@ func TestCaseStudyScalars(t *testing.T) {
 }
 
 func TestTableIRenders(t *testing.T) {
-	tb, err := TableI(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := TableI(testCaseStudy(t))
 	out := tb.String()
 	for _, name := range []string{"Main", "Mul", "Add", "Array1", "Array4", "Stack"} {
 		if !strings.Contains(out, name) {
@@ -208,10 +224,7 @@ func TestTableIRenders(t *testing.T) {
 }
 
 func TestTableIIRenders(t *testing.T) {
-	tb, err := TableII(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := TableII(testCaseStudy(t))
 	// Each block's row must land in the Table II region.
 	wants := map[string]string{
 		"Main":   "-",
@@ -244,10 +257,7 @@ func TestTableIIIImprovement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-length trace")
 	}
-	res, tb, err := TableIII(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tb := TableIII(testCaseStudy(t))
 	// Paper: ~3 orders of magnitude (40 min -> 61 days is ~2200x).
 	if res.Improvement() < 200 {
 		t.Errorf("endurance improvement = %.0fx, want hundreds-to-thousands", res.Improvement())
@@ -281,10 +291,7 @@ func TestTableIVAndFig3Render(t *testing.T) {
 }
 
 func TestFig2SharesSumToOne(t *testing.T) {
-	tb, err := Fig2(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := Fig2(testCaseStudy(t))
 	if len(tb.Rows) != 3 {
 		t.Fatalf("Fig. 2 rows = %d, want 3 regions", len(tb.Rows))
 	}

@@ -7,7 +7,6 @@ import (
 	"ftspm/internal/memtech"
 	"ftspm/internal/report"
 	"ftspm/internal/spm"
-	"ftspm/internal/workloads"
 )
 
 // dataKinds is the region order used in distribution tables.
@@ -45,16 +44,12 @@ func distributionRows(t *report.Table, out Outcome) {
 
 // Fig2 regenerates the case-study read/write distribution across the
 // FTSPM regions (paper Fig. 2).
-func Fig2(opts Options) (*report.Table, error) {
-	out, err := EvaluateByName(workloads.CaseStudyName, core.StructFTSPM, opts)
-	if err != nil {
-		return nil, err
-	}
+func Fig2(cs *CaseStudy) *report.Table {
 	t := report.New(
 		"Fig. 2: distribution of data-SPM read/write operations across the FTSPM structure (case study)",
 		"Workload", "Region", "Reads", "Writes", "Read share", "Write share")
-	distributionRows(t, out)
-	return t, nil
+	distributionRows(t, cs.Outcomes[core.StructFTSPM])
+	return t
 }
 
 // CaseStudyScalars are the Section IV headline numbers.
@@ -72,23 +67,16 @@ type CaseStudyScalars struct {
 	PerfOverheadVsSRAM float64
 }
 
-// CaseStudy computes the Section IV scalar results.
-func CaseStudy(opts Options) (CaseStudyScalars, error) {
-	ft, err := EvaluateByName(workloads.CaseStudyName, core.StructFTSPM, opts)
-	if err != nil {
-		return CaseStudyScalars{}, err
-	}
-	sram, err := EvaluateByName(workloads.CaseStudyName, core.StructPureSRAM, opts)
-	if err != nil {
-		return CaseStudyScalars{}, err
-	}
+// SectionIV computes the Section IV scalar results.
+func SectionIV(cs *CaseStudy) CaseStudyScalars {
+	ft, sram := cs.Outcomes[core.StructFTSPM], cs.Outcomes[core.StructPureSRAM]
 	return CaseStudyScalars{
 		ReliabilityFTSPM:    ft.AVF.Reliability(),
 		ReliabilityBaseline: sram.AVF.Reliability(),
 		DynamicVsSRAM:       float64(ft.Sim.SPMDynamicEnergy) / float64(sram.Sim.SPMDynamicEnergy),
 		StaticVsSRAM:        float64(ft.Sim.SPMStaticEnergy) / float64(sram.Sim.SPMStaticEnergy),
 		PerfOverheadVsSRAM:  float64(ft.Sim.Cycles)/float64(sram.Sim.Cycles) - 1,
-	}, nil
+	}
 }
 
 // Fig3 regenerates the per-access dynamic-energy comparison (paper

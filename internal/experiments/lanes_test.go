@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 	"ftspm/internal/sim"
 	"ftspm/internal/spm"
@@ -263,14 +264,26 @@ func fallbacksSince(before FallbackCounts) FallbackCounts {
 	}
 }
 
-// TestLaneWidth pins the knob resolution: auto packs fully, explicit
-// widths clamp to the engine capacity, non-positive values are scalar.
+// TestLaneWidth pins the knob resolution: auto packs fully and explicit
+// widths are taken as given. Values outside 0..64 are usage errors, from
+// SoakSource too, never clamped to a width.
 func TestLaneWidth(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
-		{0, 64}, {1, 1}, {-5, 1}, {3, 3}, {64, 64}, {200, 64},
+		{0, 64}, {1, 1}, {3, 3}, {64, 64},
 	} {
+		if err := ValidateLanes(tc.in); err != nil {
+			t.Errorf("ValidateLanes(%d) = %v", tc.in, err)
+		}
 		if got := laneWidth(tc.in); got != tc.want {
 			t.Errorf("laneWidth(%d) = %d, want %d", tc.in, got, tc.want)
+		}
+	}
+	for _, lanes := range []int{-7, -1, 65, 999} {
+		if err := ValidateLanes(lanes); !campaign.IsUsage(err) {
+			t.Errorf("ValidateLanes(%d) = %v, want a usage error", lanes, err)
+		}
+		if _, err := SoakSource(SoakOptions{Lanes: lanes}, nil); !campaign.IsUsage(err) {
+			t.Errorf("SoakSource with lanes %d: %v, want a usage error", lanes, err)
 		}
 	}
 }

@@ -77,18 +77,22 @@ type SoakOptions struct {
 	Lanes int `json:"-"`
 }
 
-// laneWidth resolves the Lanes knob to a batch width.
-func laneWidth(lanes int) int {
-	switch {
-	case lanes == 0:
-		return simd.MaxLanes
-	case lanes < 1:
-		return 1
-	case lanes > simd.MaxLanes:
-		return simd.MaxLanes
-	default:
-		return lanes
+// ValidateLanes rejects a Lanes setting outside 0..simd.MaxLanes as a
+// usage error. The soak CLI, the soak endpoint and SoakSource all check
+// through it, so no value is silently clamped.
+func ValidateLanes(lanes int) error {
+	if lanes < 0 || lanes > simd.MaxLanes {
+		return campaign.Usagef("lanes must be in 0..%d (got %d)", simd.MaxLanes, lanes)
 	}
+	return nil
+}
+
+// laneWidth resolves a valid Lanes knob to a batch width.
+func laneWidth(lanes int) int {
+	if lanes == 0 {
+		return simd.MaxLanes
+	}
+	return lanes
 }
 
 func (o SoakOptions) normalize() SoakOptions {

@@ -232,6 +232,9 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 	if err := base.Dist.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: soak: %w", err)
 	}
+	if err := ValidateLanes(base.Lanes); err != nil {
+		return nil, err
+	}
 	w, err := workloads.ByName(base.Workload)
 	if err != nil {
 		return nil, err

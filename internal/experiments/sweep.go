@@ -8,7 +8,6 @@ import (
 	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 	"ftspm/internal/profile"
-	"ftspm/internal/sim"
 	"ftspm/internal/workloads"
 )
 
@@ -69,48 +68,36 @@ type groupOutcome struct {
 	taken bool
 }
 
-// setUp streams the workload's trace twice and never holds it: once
-// into the profiler, then, after every structure is mapped, once into
-// all the structures' machines in lockstep. It runs detached from any
-// job's context, so one job's deadline can never poison the group for
-// its siblings.
+// setUp evaluates the workload's structures as one group
+// (evaluateGroup): its trace is streamed into the profiler once and
+// into all the structures' machines in lockstep once. It runs detached
+// from any job's context, so one job's deadline can never poison the
+// group for its siblings.
 func (sh *sharedWorkload) setUp(w workloads.Workload, structures []core.Structure, opts Options) {
-	prof, err := profile.Run(w.Program(), w.TraceStream(opts.Scale))
-	if err != nil {
-		sh.err = fmt.Errorf("experiments: profile %s: %w", w.Name, err)
-		return
-	}
-	sh.prof = prof
 	outs := make([]groupOutcome, len(structures))
-	var runs []*specRun
-	var at []int // runs[k] is structure at[k]
-	var machines []*sim.Machine
+	var variants []variant
+	var at []int // variants[k] is structure at[k]
 	for i, s := range structures {
 		spec, err := core.NewSpec(s)
-		var run *specRun
-		if err == nil {
-			run, err = mapSpec(w, spec, prof, opts)
-		}
 		if err != nil {
 			outs[i].err = fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
 			continue
 		}
-		runs = append(runs, run)
+		variants = append(variants, variant{spec: spec, opts: opts})
 		at = append(at, i)
-		machines = append(machines, run.machine)
 	}
-	results, errs := sim.RunLockstep(w.TraceStream(opts.Scale), machines)
-	for k, run := range runs {
-		out, err := Outcome{}, errs[k]
+	prof, results, errs, err := evaluateGroup(w, nil, opts.Scale, variants)
+	if err != nil {
+		sh.err = err
+		return
+	}
+	sh.prof = prof
+	for k, i := range at {
+		err := errs[k]
 		if err != nil {
-			err = fmt.Errorf("experiments: run %s/%v: %w", w.Name, run.spec.Structure, err)
-		} else {
-			out, err = run.outcome(results[k])
+			err = fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, structures[i], err)
 		}
-		if err != nil {
-			err = fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, run.spec.Structure, err)
-		}
-		outs[at[k]] = groupOutcome{out: out, err: err}
+		outs[i] = groupOutcome{out: results[k], err: err}
 	}
 	sh.outs = outs
 }
@@ -230,7 +217,7 @@ func runSweepJob(ctx context.Context, w workloads.Workload, structures []core.St
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
 	}
-	out, err := evaluateSpecStream(ctx, w, spec, sh.prof, w.TraceStream(opts.Scale), opts)
+	out, err := evaluateSolo(ctx, w, variant{spec: spec, opts: opts}, sh.prof, w.TraceStream(opts.Scale))
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: sweep %s/%v: %w", w.Name, s, err)
 	}

@@ -8,10 +8,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ftspm/internal/core"
-	"ftspm/internal/profile"
+	"ftspm/internal/faults"
 	"ftspm/internal/sim"
+	"ftspm/internal/trace"
 	"ftspm/internal/workloads"
 )
 
@@ -104,21 +106,21 @@ func TestRunSweepContextCancelled(t *testing.T) {
 	}
 }
 
-// TestCachedTraceMatchesGenerator guards the ablation drivers' shared
-// cache: a replayed cached trace must profile identically to a fresh
-// generator stream.
+// TestCachedTraceMatchesGenerator guards the sweep's solo re-run: a
+// machine mapped on an already computed profile and run on a fresh
+// generator stream must match a whole Evaluate.
 func TestCachedTraceMatchesGenerator(t *testing.T) {
 	w := workloads.CaseStudy()
 	a, err := Evaluate(w, core.StructFTSPM, sweepTestOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := core.MustSpec(core.StructFTSPM)
-	b, err := evaluateSpecStream(context.Background(), w, spec, a.Profile, cachedTrace(w, sweepTestOpts.Scale), sweepTestOpts)
+	v := variant{spec: core.MustSpec(core.StructFTSPM), opts: sweepTestOpts}
+	b, err := evaluateSolo(context.Background(), w, v, a.Profile, w.TraceStream(sweepTestOpts.Scale))
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcomesAgree(t, "cached-vs-stream", a, b)
+	outcomesAgree(t, "solo-vs-evaluate", a, b)
 }
 
 // TestSweepAllocsIndependentOfScale: a sweep streams each trace and
@@ -142,6 +144,61 @@ func TestSweepAllocsIndependentOfScale(t *testing.T) {
 	t.Logf("allocated %.1f MB at scale 0.05, %.1f MB at scale 0.4", float64(small)/1e6, float64(large)/1e6)
 	if float64(large) > 1.25*float64(small) {
 		t.Fatalf("scale 0.4 allocated %d bytes, more than 1.25x the %d of scale 0.05", large, small)
+	}
+}
+
+// TestAblationsAllocsIndependentOfScale: the case study and the
+// ablation drivers evaluate through streamed groups and hold no trace,
+// so going from scale 0.05 to 0.4 must cost each of them less than a
+// tenth of the bytes that holding its workload's trace would add. A
+// cache of materialized traces made them grow by about that much or
+// more. The bound is not a plain ratio because a driver's own results
+// may grow with the run: ValidateAVF's regions list every detected word
+// they decode, and more strikes land on a longer run. AblationSchedule
+// is left out: its Belady plan (schedule.Build) keeps a use list with
+// one entry per trace access, so it grows with the trace by design.
+// AblationInterleaving and AblationScrubbing run no trace.
+func TestAblationsAllocsIndependentOfScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every ablation driver at two scales")
+	}
+	const small, large = 0.05, 0.4
+	drivers := []struct {
+		name, workload string
+		run            func(Options) error
+	}{
+		{"case study", "casestudy", func(o Options) error { _, err := RunCaseStudy(o); return err }},
+		{"region split", "casestudy", func(o Options) error { _, _, err := AblationRegionSplit(o); return err }},
+		{"priorities", "basicmath", func(o Options) error { _, err := AblationPriorities("basicmath", o); return err }},
+		{"write threshold", "casestudy", func(o Options) error { _, _, err := AblationWriteThreshold(o); return err }},
+		{"retention", "sha", func(o Options) error { _, _, err := AblationRetention("sha", o); return err }},
+		{"granularity", "matmul", func(o Options) error { _, _, err := AblationGranularity("matmul", o); return err }},
+		{"validation", "casestudy", func(o Options) error { _, _, err := ValidateAVF("casestudy", 0.05, 2013, o); return err }},
+		{"tech node", "casestudy", func(o Options) error { _, _, err := AblationTechNode("casestudy", o); return err }},
+	}
+	for _, d := range drivers {
+		w, err := workloads.ByName(d.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := uint64(trace.Summarize(w.TraceStream(large)).Events-trace.Summarize(w.TraceStream(small)).Events) *
+			uint64(unsafe.Sizeof(trace.Event{}))
+		allocated := func(scale float64) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := d.run(Options{Scale: scale}); err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		a, b := allocated(small), allocated(large)
+		t.Logf("%s: allocated %.2f MB at scale %g, %.2f MB at scale %g; holding the trace would add %.2f MB",
+			d.name, float64(a)/1e6, small, float64(b)/1e6, large, float64(held)/1e6)
+		if b > a+held/10 {
+			t.Errorf("%s: scale %g allocated %d bytes, more than the %d of scale %g plus a tenth of the %d a held trace adds",
+				d.name, large, b, a, small, held)
+		}
 	}
 }
 
@@ -220,44 +277,87 @@ func TestSweepGroupHandsOutOnce(t *testing.T) {
 	}
 }
 
-// TestLockstepMatchesSoloRuns: feeding one trace to every structure's
-// machine in lockstep gives each machine exactly the Result of running
-// it alone on a fresh stream.
+// TestLockstepMatchesSoloRuns: an evaluation group feeds one trace to
+// all its variants' machines in lockstep, and each variant's outcome
+// must be exactly the one of mapping it alone on the group's profile
+// and running it alone on a fresh stream. The groups cover every shape
+// the drivers evaluate: all four structures (DMR included), machines
+// carrying live injection (ValidateAVF), variants that differ only in
+// MDA priority or thresholds (the MDA ablations), and a refined program
+// (AblationGranularity).
 func TestLockstepMatchesSoloRuns(t *testing.T) {
-	for _, name := range []string{"casestudy", "qsort", "jpeg"} {
-		w, err := workloads.ByName(name)
+	ftspm := core.MustSpec(core.StructFTSPM)
+	structures := func(ss ...core.Structure) []variant {
+		vs := make([]variant, len(ss))
+		for i, s := range ss {
+			vs[i] = variant{spec: core.MustSpec(s), opts: sweepTestOpts}
+		}
+		return vs
+	}
+	injected := structures(core.Structures()...)
+	for i := range injected {
+		injected[i].injection = &sim.InjectionConfig{StrikesPerAccess: 0.05, Dist: faults.Dist40nm, Seed: 2013}
+	}
+	var priorities []variant
+	for _, p := range []core.Priority{core.PriorityReliability, core.PriorityPerformance,
+		core.PriorityPower, core.PriorityEndurance} {
+		o := sweepTestOpts.normalize()
+		o.Priority = p
+		priorities = append(priorities, variant{spec: ftspm, opts: o})
+	}
+	relaxed := sweepTestOpts.normalize()
+	relaxed.Thresholds.WriteFraction = 0.6
+	relaxed.Thresholds.PerfOverhead = 1000
+	relaxed.Thresholds.EnergyOverhead = 1000
+	thresholds := []variant{{spec: ftspm, opts: sweepTestOpts}, {spec: ftspm, opts: relaxed}}
+	cases := []struct {
+		name, workload string
+		refine         bool
+		variants       []variant
+	}{
+		{"structures", "casestudy", false, structures(core.AllStructures()...)},
+		{"structures", "qsort", false, structures(core.AllStructures()...)},
+		{"structures", "jpeg", false, structures(core.AllStructures()...)},
+		{"injection", "casestudy", false, injected},
+		{"priorities", "basicmath", false, priorities},
+		{"thresholds", "casestudy", false, thresholds},
+		{"refined", "matmul", true, []variant{{spec: ftspm, opts: sweepTestOpts}}},
+	}
+	for _, c := range cases {
+		label := c.name + "/" + c.workload
+		w, err := workloads.ByName(c.workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := profile.Run(w.Program(), w.TraceStream(sweepTestOpts.Scale))
+		prog := w.Program()
+		if c.refine {
+			if prog, err = refineOversized(prog, ftspm); err != nil {
+				t.Fatal(err)
+			}
+			if prog.NumBlocks() == w.Program().NumBlocks() {
+				t.Fatalf("%s: refinement split no block", label)
+			}
+		}
+		prof, outs, errs, err := evaluateGroup(w, prog, sweepTestOpts.Scale, c.variants)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var machines []*sim.Machine
-		var want []sim.Result
-		for _, s := range core.Structures() {
-			grouped, err := mapSpec(w, core.MustSpec(s), prof, sweepTestOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			solo, err := mapSpec(w, core.MustSpec(s), prof, sweepTestOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := solo.machine.RunContext(context.Background(), w.TraceStream(sweepTestOpts.Scale))
-			if err != nil {
-				t.Fatal(err)
-			}
-			machines = append(machines, grouped.machine)
-			want = append(want, res)
+		if prof.Program() != prog {
+			t.Fatalf("%s: the group profiled another program", label)
 		}
-		got, errs := sim.RunLockstep(w.TraceStream(sweepTestOpts.Scale), machines)
-		for i, s := range core.Structures() {
+		for i, v := range c.variants {
 			if errs[i] != nil {
-				t.Fatalf("%s/%v: %v", name, s, errs[i])
+				t.Fatalf("%s #%d: %v", label, i, errs[i])
 			}
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("%s/%v: lockstep result differs from a solo run:\n%+v\n%+v", name, s, got[i], want[i])
+			solo, err := evaluateSolo(context.Background(), w, v, prof, w.TraceStream(sweepTestOpts.Scale))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(outs[i], solo) {
+				t.Fatalf("%s #%d: lockstep outcome differs from a solo run:\n%+v\n%+v", label, i, outs[i].Sim, solo.Sim)
+			}
+			if (v.injection != nil) != (solo.Sim.InjectedStrikes > 0) {
+				t.Fatalf("%s #%d: %d strikes landed", label, i, solo.Sim.InjectedStrikes)
 			}
 		}
 	}

@@ -11,21 +11,59 @@ import (
 	"ftspm/internal/workloads"
 )
 
-// TableI regenerates the case-study profiling table (paper Table I):
-// per-block reads, writes, per-reference averages, stack statistics, and
-// life-time.
-func TableI(opts Options) (*report.Table, error) {
+// CaseStudy holds every evaluation of the Section IV case study: the
+// outcomes that Tables I–III, Fig. 2, the Section IV scalars and the
+// related-work comparison format, as Fig4–Fig8 format a Sweep.
+type CaseStudy struct {
+	// Options records the settings; Outcomes ran at Options.Scale.
+	Options Options
+	// Outcomes holds the outcome of every structure of
+	// core.AllStructures().
+	Outcomes map[core.Structure]Outcome
+	// FullSTT and FullFTSPM are pure STT-RAM and FTSPM at full trace
+	// length (Table III).
+	FullSTT, FullFTSPM Outcome
+}
+
+// RunCaseStudy evaluates the case study as two groups (evaluateGroup):
+// every structure of core.AllStructures() at opts.Scale, and pure
+// STT-RAM and FTSPM at full trace length. Table III runs at full length
+// regardless of opts.Scale: the hottest-cell rates are what a real
+// execution accumulates, and short traces understate the stack's wear.
+func RunCaseStudy(opts Options) (*CaseStudy, error) {
 	opts = opts.normalize()
 	w := workloads.CaseStudy()
-	out, err := Evaluate(w, core.StructFTSPM, opts)
+	variants := func(structures ...core.Structure) []variant {
+		vs := make([]variant, len(structures))
+		for i, s := range structures {
+			vs[i] = variant{spec: core.MustSpec(s), opts: opts}
+		}
+		return vs
+	}
+	outs, err := evaluateAll(w, nil, opts.Scale, variants(core.AllStructures()...))
 	if err != nil {
 		return nil, err
 	}
+	full, err := evaluateAll(w, nil, 1.0, variants(core.StructPureSTT, core.StructFTSPM))
+	if err != nil {
+		return nil, err
+	}
+	cs := &CaseStudy{Options: opts, Outcomes: make(map[core.Structure]Outcome), FullSTT: full[0], FullFTSPM: full[1]}
+	for _, out := range outs {
+		cs.Outcomes[out.Structure] = out
+	}
+	return cs, nil
+}
+
+// TableI regenerates the case-study profiling table (paper Table I):
+// per-block reads, writes, per-reference averages, stack statistics, and
+// life-time.
+func TableI(cs *CaseStudy) *report.Table {
 	t := report.New(
-		fmt.Sprintf("Table I: profiling of the case-study program (scale %.2f)", opts.Scale),
+		fmt.Sprintf("Table I: profiling of the case-study program (scale %.2f)", cs.Options.Scale),
 		"Block", "Reads", "Writes", "Avg reads/ref", "Avg writes/ref",
 		"Stack calls", "Max stack (B)", "Life-time (cycles)")
-	for _, bp := range out.Profile.Blocks {
+	for _, bp := range cs.Outcomes[core.StructFTSPM].Profile.Blocks {
 		t.AddRow(
 			bp.Block.Name,
 			report.Count(bp.Reads),
@@ -37,22 +75,16 @@ func TableI(opts Options) (*report.Table, error) {
 			report.Count(int(bp.Lifetime)),
 		)
 	}
-	return t, nil
+	return t
 }
 
 // TableII regenerates the MDA placement for the case study (paper Table
 // II): whether each block is mapped and to which region.
-func TableII(opts Options) (*report.Table, error) {
-	opts = opts.normalize()
-	w := workloads.CaseStudy()
-	out, err := Evaluate(w, core.StructFTSPM, opts)
-	if err != nil {
-		return nil, err
-	}
+func TableII(cs *CaseStudy) *report.Table {
 	t := report.New(
 		"Table II: Mapping Determiner Algorithm output for the case study",
 		"Block", "Mapped to SPM", "Region", "Reason")
-	for _, d := range out.Mapping.Decisions {
+	for _, d := range cs.Outcomes[core.StructFTSPM].Mapping.Decisions {
 		mapped, region := "No", "-"
 		if d.Mapped {
 			mapped = "Yes"
@@ -60,7 +92,7 @@ func TableII(opts Options) (*report.Table, error) {
 		}
 		t.AddRow(d.Block.Name, mapped, region, d.Reason)
 	}
-	return t, nil
+	return t
 }
 
 // TableIIIResult carries the endurance sweep of paper Table III.
@@ -82,21 +114,9 @@ func (r TableIIIResult) Improvement() float64 {
 
 // TableIII regenerates the endurance comparison (paper Table III):
 // lifetime of the pure STT-RAM SPM versus FTSPM across write-cycle
-// thresholds 10^12..10^16. The case study runs at full trace length
-// regardless of opts.Scale: the hottest-cell rates are what a real
-// execution accumulates, and short traces understate the stack's wear.
-func TableIII(opts Options) (*TableIIIResult, *report.Table, error) {
-	opts = opts.normalize()
-	opts.Scale = 1.0
-	w := workloads.CaseStudy()
-	base, err := Evaluate(w, core.StructPureSTT, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ftspm, err := Evaluate(w, core.StructFTSPM, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+// thresholds 10^12..10^16, from the full-length case-study runs.
+func TableIII(cs *CaseStudy) (*TableIIIResult, *report.Table) {
+	base, ftspm := cs.FullSTT, cs.FullFTSPM
 	res := &TableIIIResult{
 		Rows:         endurance.Table(base.STTWriteRate, ftspm.STTWriteRate, endurance.PaperThresholds()),
 		BaselineRate: base.STTWriteRate,
@@ -113,7 +133,7 @@ func TableIII(opts Options) (*TableIIIResult, *report.Table, error) {
 			report.Float(row.Improvement(), 0)+"x",
 		)
 	}
-	return res, t, nil
+	return res, t
 }
 
 // TableIV renders the structure configurations (paper Table IV).

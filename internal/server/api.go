@@ -111,8 +111,9 @@ type SoakRequest struct {
 	// emergency refresh, and storm bypass. Ignored with NoRecovery.
 	AdaptiveScrub bool `json:"adaptive_scrub,omitempty"`
 	// Lanes caps the packed engine's batch width: 0 auto-packs up to
-	// 64 trials per trace pass, 1 forces the scalar simulator. The
-	// results are identical either way.
+	// 64 trials per trace pass, 1 forces the scalar simulator, 2..64
+	// cap the width; any other value is answered 400. The results are
+	// identical either way.
 	Lanes int `json:"lanes,omitempty"`
 	// Workers, Retries, JobTimeoutMS, Checkpoint, Resume: as in
 	// SweepRequest.

@@ -414,6 +414,10 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "resume requires a named checkpoint", 0)
 		return
 	}
+	if err := experiments.ValidateLanes(req.Lanes); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	structures := make([]core.Structure, 0, len(req.Structures))
 	for _, name := range req.Structures {
 		st, err := core.ParseStructure(name)

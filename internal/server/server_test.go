@@ -448,6 +448,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSoakLanesOutOfRange: a lane width outside 0..64 is answered 400
+// before any job is submitted, never clamped to a width that runs.
+func TestSoakLanesOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, lanes := range []int{-7, 65, 999} {
+		resp, body := postJSON(t, ts.URL+"/v1/soak", fmt.Sprintf(`{"trials":1,"scale":0.01,"lanes":%d}`, lanes))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "lanes must be in 0..64") {
+			t.Errorf("lanes %d: code %d, want 400 naming the lane range\n%s", lanes, resp.StatusCode, body)
+		}
+	}
+	if resp := getJSON(t, ts.URL+"/v1/jobs/soak-000001", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("a rejected soak submitted a job: GET soak-000001 answered %d, want 404", resp.StatusCode)
+	}
+}
+
 func TestResolveCheckpoint(t *testing.T) {
 	good := []string{"run1.ckpt", "a-b_c.d", "X9"}
 	for _, name := range good {

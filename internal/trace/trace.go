@@ -194,8 +194,7 @@ func NewSliceStream(events []Event) *SliceStream {
 // copying. The caller promises the slice is never mutated afterwards;
 // under that contract any number of Replay streams (including
 // concurrent ones, each owning its own cursor) can share one backing
-// array — the mechanism behind the soak engine's shared trace and the
-// workloads.TraceCache.
+// array — the mechanism behind the soak engine's shared trace.
 func Replay(events []Event) *SliceStream {
 	return &SliceStream{events: events}
 }

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"ftspm/internal/trace"
@@ -25,8 +24,8 @@ func TestTraceStreamMatchesSlice(t *testing.T) {
 }
 
 // TestTraceStreamReplayable: rebuilding the stream replays the same
-// sequence (the seeded-replay property the cache and the sweep engine
-// rely on).
+// sequence (the seeded-replay property every evaluation group relies
+// on: it streams each trace twice).
 func TestTraceStreamReplayable(t *testing.T) {
 	w := CaseStudy()
 	a := trace.Collect(w.TraceStream(0.05), 0)
@@ -47,68 +46,6 @@ func TestTraceStreamBounded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(prefix, full[:100]) {
 		t.Fatal("streamed prefix diverges from the full trace")
-	}
-}
-
-func TestTraceCacheHitsAndSharing(t *testing.T) {
-	w := CaseStudy()
-	c := NewTraceCache(2)
-	ev1 := c.Events(w, 0.05)
-	ev2 := c.Events(w, 0.05)
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	if &ev1[0] != &ev2[0] {
-		t.Fatal("cache hit did not share the backing array")
-	}
-	want := trace.Collect(w.Trace(0.05), 0)
-	got := trace.Collect(c.Stream(w, 0.05), 0)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("cached replay diverges from the generator")
-	}
-}
-
-func TestTraceCacheEviction(t *testing.T) {
-	w := CaseStudy()
-	c := NewTraceCache(2)
-	ev1 := c.Events(w, 0.01)
-	c.Events(w, 0.02)
-	c.Events(w, 0.03) // evicts 0.01 (LRU)
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d traces, want capacity 2", c.Len())
-	}
-	ev1b := c.Events(w, 0.01) // regenerated after eviction
-	if &ev1[0] == &ev1b[0] {
-		t.Fatal("evicted entry was still served from cache")
-	}
-	if !reflect.DeepEqual(ev1, ev1b) {
-		t.Fatal("regenerated trace diverges from the original")
-	}
-}
-
-// TestTraceCacheConcurrent hammers one cache from many goroutines; the
-// race detector guards the locking and every caller must observe the
-// reference sequence.
-func TestTraceCacheConcurrent(t *testing.T) {
-	w := CaseStudy()
-	ref := trace.Collect(w.Trace(0.02), 0)
-	c := NewTraceCache(2)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for n := 0; n < 8; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got := trace.Collect(c.Stream(w, 0.02), 0)
-			if !reflect.DeepEqual(ref, got) {
-				errs <- "concurrent reader saw a divergent trace"
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
 	}
 }
 
