@@ -30,7 +30,7 @@ var sweepCache *experiments.Sweep
 func sweep(b *testing.B) *experiments.Sweep {
 	b.Helper()
 	if sweepCache == nil {
-		sw, err := experiments.RunSweep(benchOpts)
+		sw, err := ftspm.RunSweep(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkEvaluate(b *testing.B) {
 func BenchmarkRunSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sw, err := experiments.RunSweep(benchOpts)
+		sw, err := ftspm.RunSweep(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,11 +293,15 @@ func BenchmarkRunSoak(b *testing.B) {
 				Recovery: &rec, Lanes: lanes,
 			}
 			for i := 0; i < b.N; i++ {
-				rep, err := experiments.RunSoak(opts)
+				reps, st, err := experiments.RunSoakOn(context.Background(), opts, nil,
+					experiments.CampaignConfig{}.RunLocal)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if rep.Trials != opts.Trials || rep.Strikes == 0 {
+				if f := st.FirstFailure(); f != nil {
+					b.Fatal(f)
+				}
+				if rep := reps[0]; rep.Trials != opts.Trials || rep.Strikes == 0 {
 					b.Fatalf("degenerate soak report: %+v", rep)
 				}
 			}

@@ -59,11 +59,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return campaign.Usagef("%v", err)
 	}
 
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	opts := experiments.Options{Scale: *scale, Priority: prio}
-	o, err := experiments.EvaluateByName(*workload, s, opts)
+	o, err := experiments.EvaluateByNameContext(ctx, *workload, s, opts)
 	if err != nil {
 		return err
 	}

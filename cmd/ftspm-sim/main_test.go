@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"ftspm/internal/campaign"
 )
@@ -83,5 +86,21 @@ func TestRunSimWithPlanAndPriority(t *testing.T) {
 	buf.Reset()
 	if err := run(context.Background(), []string{"-workload", "crc32", "-structure", "pure-STT-RAM", "-scale", "0.05"}, &buf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunHonoursDeadline: the evaluation runs under the command's
+// context (the signal context in main), so a deadline or a SIGINT stops
+// a run that would take seconds well before it finishes.
+func TestRunHonoursDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	err := run(ctx, []string{"-scale", "16"}, io.Discard)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("run took %v after a 50ms deadline, want a prompt stop", elapsed)
 	}
 }

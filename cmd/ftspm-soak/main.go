@@ -183,27 +183,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *scale <= 0 {
 		return campaign.Usagef("-scale must be > 0 (got %g)", *scale)
 	}
-	if *strike < 0 || *strike > 1 {
-		return campaign.Usagef("-strike must be a probability in [0, 1] (got %g)", *strike)
-	}
 	if *adaptive && *noRecovery {
 		return campaign.Usagef("-adaptive needs the recovery subsystem (drop -no-recovery)")
 	}
 	if (*stormHot != 0 || *stormThermal != 1) && !*storm {
 		return campaign.Usagef("-storm-* knobs need -storm")
 	}
-	if err := experiments.ValidateLanes(*lanes); err != nil {
-		return err
-	}
-	if err := fc.Open(); err != nil {
-		return err
-	}
-	defer fc.Close()
-	stopProfile, err := perf.Start()
-	if err != nil {
-		return err
-	}
-	defer stopProfile()
 	structs, err := parseStructures(*structures)
 	if err != nil {
 		return err
@@ -255,6 +240,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			StuckAtProb:     *wearStuck,
 		}
 	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if err := fc.Open(); err != nil {
+		return err
+	}
+	defer fc.Close()
+	stopProfile, err := perf.Start()
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 
 	mode := "recovery on"
 	if *noRecovery {

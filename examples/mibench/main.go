@@ -15,6 +15,7 @@ import (
 	"log"
 	"os"
 
+	"ftspm"
 	"ftspm/internal/experiments"
 	"ftspm/internal/report"
 )
@@ -29,7 +30,7 @@ func main() {
 
 func run(scale float64) error {
 	fmt.Printf("sweeping 12 workloads x 3 structures at scale %.2f ...\n\n", scale)
-	sw, err := experiments.RunSweep(experiments.Options{Scale: scale})
+	sw, err := ftspm.RunSweep(ftspm.Options{Scale: scale})
 	if err != nil {
 		return err
 	}

@@ -25,6 +25,8 @@
 package ftspm
 
 import (
+	"context"
+
 	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 	"ftspm/internal/workloads"
@@ -69,12 +71,21 @@ type Sweep = experiments.Sweep
 
 // Evaluate runs the complete pipeline for one workload on one structure.
 func Evaluate(workload string, s Structure, opts Options) (Outcome, error) {
-	return experiments.EvaluateByName(workload, s, opts)
+	return experiments.EvaluateByNameContext(context.Background(), workload, s, opts)
 }
 
-// RunSweep evaluates the 12-workload suite on all three structures.
+// RunSweep evaluates the 12-workload suite on all three structures, in
+// process and in memory. A job that fails fails the sweep: the error is
+// the first failed job's, in campaign order.
 func RunSweep(opts Options) (*Sweep, error) {
-	return experiments.RunSweep(opts)
+	sw, status, err := experiments.RunSweepOn(context.Background(), opts, experiments.CampaignConfig{}.RunLocal)
+	if err != nil {
+		return nil, err
+	}
+	if f := status.FirstFailure(); f != nil {
+		return nil, f
+	}
+	return sw, nil
 }
 
 // Workloads returns the available workload names: the Section IV case

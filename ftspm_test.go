@@ -1,10 +1,12 @@
 package ftspm_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"ftspm"
+	"ftspm/internal/core"
 )
 
 func TestFacadeWorkloads(t *testing.T) {
@@ -51,6 +53,21 @@ func TestFacadeRunSweep(t *testing.T) {
 	}
 	if len(sw.Workloads) != 12 {
 		t.Errorf("sweep covered %d workloads", len(sw.Workloads))
+	}
+}
+
+// TestFacadeRunSweepFirstFailure: the facade turns a campaign whose
+// jobs fail into the first failed job's error, never a partial sweep.
+// Thresholds the MDA rejects fail every job at mapping time.
+func TestFacadeRunSweepFirstFailure(t *testing.T) {
+	bad := core.DefaultThresholds()
+	bad.PerfOverhead = -1
+	sw, err := ftspm.RunSweep(ftspm.Options{Scale: 0.02, Thresholds: bad})
+	if !errors.Is(err, core.ErrBadThresholds) {
+		t.Fatalf("err = %v, want the first job's wrapped core.ErrBadThresholds", err)
+	}
+	if sw != nil {
+		t.Error("a failed sweep returned a partial sweep")
 	}
 }
 

@@ -4,7 +4,7 @@
 // budget, an append-only JSONL checkpoint for resumable runs, and
 // graceful drain on cancellation.
 //
-// The sweep (experiments.RunSweep) and soak (experiments.RunSoak)
+// The sweep (experiments.RunSweepOn) and soak (experiments.RunSoakOn)
 // engines are both built on it. The contract that makes interrupted
 // campaigns cheap instead of fatal:
 //

@@ -100,7 +100,7 @@ func (c *Campaign) Run(ctx context.Context, src *experiments.JobSource) (*campai
 	if c.workers == "" {
 		return c.local.RunLocal(ctx, src)
 	}
-	return fabric.Run(ctx, fabric.Config{
+	return fabric.Config{
 		Workers:    fabric.ParseWorkers(c.workers),
 		Parallel:   c.local.Workers,
 		Lease:      c.lease,
@@ -114,7 +114,7 @@ func (c *Campaign) Run(ctx context.Context, src *experiments.JobSource) (*campai
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, c.name+": "+format+"\n", args...)
 		},
-	}, src)
+	}.Run(ctx, src)
 }
 
 // CacheStats returns the result cache's counters, or nil without

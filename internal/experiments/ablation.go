@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -473,7 +474,7 @@ const (
 // The crossover shows where [18]'s idea pays off for this workload.
 func AblationRetention(workloadName string, opts Options) ([]RetentionPoint, *report.Table, error) {
 	opts = opts.normalize()
-	out, err := EvaluateByName(workloadName, core.StructFTSPM, opts)
+	out, err := EvaluateByNameContext(context.Background(), workloadName, core.StructFTSPM, opts)
 	if err != nil {
 		return nil, nil, err
 	}

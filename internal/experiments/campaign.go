@@ -18,10 +18,9 @@ import (
 // experiment options) and the domain-specific aggregation of job
 // results into Sweep / SoakReport values.
 
-// CampaignConfig parameterizes the crash-safe runner under
-// RunSweepCampaign and RunSoakCampaign. The zero value runs in-memory:
-// no checkpoint, no retries, no deadline — exactly the behaviour of the
-// plain RunSweep/RunSoak wrappers.
+// CampaignConfig parameterizes the in-process crash-safe runner
+// (RunLocal). The zero value runs in-memory: no checkpoint, no retries,
+// no deadline.
 type CampaignConfig struct {
 	// Checkpoint, when non-empty, journals each finished (workload,
 	// structure[, trial]) job to this append-only JSONL file.
@@ -67,8 +66,8 @@ func (c CampaignConfig) Validate() error {
 }
 
 // Executor runs every job of a campaign source and returns the raw
-// report: CampaignConfig.RunLocal in process, or fabric.Run, bound to
-// its Config, across ftspmd workers.
+// report: CampaignConfig.RunLocal in process, or fabric.Config.Run
+// across ftspmd workers. Both are method values of their config.
 type Executor func(ctx context.Context, src *JobSource) (*campaign.Report[json.RawMessage], error)
 
 // RunLocal is the in-process Executor: src's jobs run on the crash-safe

@@ -72,7 +72,7 @@ func TestSweepCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed run not clean: %+v", st2)
 	}
 
-	uninterrupted, err := RunSweepContext(context.Background(), opts)
+	uninterrupted, err := runSweep(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +112,9 @@ func TestSweepPanicIsolatedToOneJob(t *testing.T) {
 	if !strings.Contains(f.Error, "injected sweep panic") {
 		t.Errorf("failure error %q does not name the panic", f.Error)
 	}
+	if err := st.FirstFailure(); err == nil || !strings.Contains(err.Error(), "injected sweep panic") {
+		t.Errorf("FirstFailure() = %v, want the panicked job's error", err)
+	}
 	if !strings.Contains(f.Stack, "runSweepJob") {
 		t.Errorf("failure stack does not reach the job body:\n%s", f.Stack)
 	}
@@ -143,17 +146,19 @@ func soakTestOptions() SoakOptions {
 	}
 }
 
-// TestRunSoakCampaignMatchesRunSoak pins the refactor: the in-memory
-// wrapper and the campaign path produce identical reports.
+// TestRunSoakCampaignMatchesRunSoak pins the runner's independence: an
+// in-memory soak of the options' own structure and a journaled,
+// single-worker soak of the same structure, listed explicitly, produce
+// identical reports.
 func TestRunSoakCampaignMatchesRunSoak(t *testing.T) {
 	o := soakTestOptions()
 	o.Structure = core.StructFTSPM
-	want, err := RunSoak(o)
+	want, err := runSoak(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := RunSoakCampaign(context.Background(), o,
-		[]core.Structure{core.StructFTSPM}, CampaignConfig{})
+	cc := CampaignConfig{Checkpoint: filepath.Join(t.TempDir(), "soak.ckpt"), Workers: 1}
+	got, st, err := RunSoakOn(context.Background(), o, []core.Structure{core.StructFTSPM}, cc.RunLocal)
 	if err != nil {
 		t.Fatal(err)
 	}

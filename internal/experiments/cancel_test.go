@@ -47,20 +47,22 @@ func TestEvaluateContextDeadlineStopsMidPipeline(t *testing.T) {
 	}
 }
 
-// TestEvaluateBackgroundUnchanged guards against drift: the plain
-// Evaluate path (background context) still completes and matches the
-// ctx-threaded path bit-for-bit on the headline accounting.
+// TestEvaluateBackgroundUnchanged guards against drift: an evaluation
+// under the background context matches one under a live, cancellable
+// context bit-for-bit on the headline accounting.
 func TestEvaluateBackgroundUnchanged(t *testing.T) {
-	a, err := EvaluateByName(workloads.CaseStudyName, core.StructFTSPM, testOpts)
+	a, err := EvaluateByNameContext(context.Background(), workloads.CaseStudyName, core.StructFTSPM, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateByNameContext(context.Background(), workloads.CaseStudyName, core.StructFTSPM, testOpts)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	b, err := EvaluateByNameContext(ctx, workloads.CaseStudyName, core.StructFTSPM, testOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Sim.Cycles != b.Sim.Cycles || a.Sim.Accesses != b.Sim.Accesses ||
 		a.AVF.Vulnerability() != b.AVF.Vulnerability() {
-		t.Fatalf("EvaluateContext drifted from Evaluate: %+v vs %+v", b.Sim, a.Sim)
+		t.Fatalf("cancellable evaluation drifted from background: %+v vs %+v", b.Sim, a.Sim)
 	}
 }

@@ -84,32 +84,6 @@ type Outcome struct {
 // ErrUnknownWorkload re-exports workload resolution failures.
 var ErrUnknownWorkload = workloads.ErrUnknownWorkload
 
-// Evaluate runs the full pipeline — profile, MDA, simulate, AVF,
-// endurance — for one workload on one structure. Both the profiler and
-// the simulator consume streaming trace generators, so a single run
-// never materializes the trace.
-func Evaluate(w workloads.Workload, structure core.Structure, opts Options) (Outcome, error) {
-	return EvaluateContext(context.Background(), w, structure, opts)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation: both the
-// profiling and the simulation loops poll ctx every few thousand trace
-// events, so a request deadline or client cancellation stops the work
-// promptly instead of merely abandoning its result (errors.Is on the
-// returned error sees the context error).
-func EvaluateContext(ctx context.Context, w workloads.Workload, structure core.Structure, opts Options) (Outcome, error) {
-	opts = opts.normalize()
-	spec, err := core.NewSpec(structure)
-	if err != nil {
-		return Outcome{}, err
-	}
-	prof, err := profile.RunContext(ctx, w.Program(), w.TraceStream(opts.Scale))
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: profile %s: %w", w.Name, err)
-	}
-	return evaluateSolo(ctx, w, variant{spec: spec, opts: opts}, prof, w.TraceStream(opts.Scale))
-}
-
 // variant is one machine of an evaluation group: a structure geometry
 // mapped under its own MDA budgets and priority (opts.Scale is unused:
 // the group fixes the trace). A non-nil injection lands live particle
@@ -260,17 +234,27 @@ func (r *specRun) outcome(res sim.Result) (Outcome, error) {
 	}, nil
 }
 
-// EvaluateByName resolves the workload by name and evaluates it.
-func EvaluateByName(name string, structure core.Structure, opts Options) (Outcome, error) {
-	return EvaluateByNameContext(context.Background(), name, structure, opts)
-}
-
-// EvaluateByNameContext resolves the workload by name and evaluates it
-// under ctx (see EvaluateContext).
+// EvaluateByNameContext runs the full pipeline — profile, MDA,
+// simulate, AVF, endurance — for the named workload on one structure,
+// uncached (EvaluateCachedContext is the cached form). Both the profiler
+// and the simulator consume streaming trace generators, so a run never
+// materializes the trace, and both poll ctx every few thousand trace
+// events: a deadline or cancellation stops the work promptly instead of
+// merely abandoning its result (errors.Is on the returned error sees
+// the context error).
 func EvaluateByNameContext(ctx context.Context, name string, structure core.Structure, opts Options) (Outcome, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return EvaluateContext(ctx, w, structure, opts)
+	opts = opts.normalize()
+	spec, err := core.NewSpec(structure)
+	if err != nil {
+		return Outcome{}, err
+	}
+	prof, err := profile.RunContext(ctx, w.Program(), w.TraceStream(opts.Scale))
+	if err != nil {
+		return Outcome{}, fmt.Errorf("experiments: profile %s: %w", w.Name, err)
+	}
+	return evaluateSolo(ctx, w, variant{spec: spec, opts: opts}, prof, w.TraceStream(opts.Scale))
 }

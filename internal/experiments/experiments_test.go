@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -26,6 +27,32 @@ var (
 	caseStudyErr  error
 )
 
+// runSweep runs the sweep in process, failing with the first failed
+// job's error as the root facade's RunSweep does.
+func runSweep(opts Options) (*Sweep, error) {
+	sw, status, err := RunSweepOn(context.Background(), opts, CampaignConfig{}.RunLocal)
+	if err != nil {
+		return nil, err
+	}
+	if f := status.FirstFailure(); f != nil {
+		return nil, f
+	}
+	return sw, nil
+}
+
+// runSoak soaks opts.Structure in process, failing with the first
+// failed trial's error.
+func runSoak(opts SoakOptions) (*SoakReport, error) {
+	reps, status, err := RunSoakOn(context.Background(), opts, nil, CampaignConfig{}.RunLocal)
+	if err != nil {
+		return nil, err
+	}
+	if f := status.FirstFailure(); f != nil {
+		return nil, f
+	}
+	return reps[0], nil
+}
+
 // testCaseStudy evaluates the case study once per test binary.
 func testCaseStudy(t *testing.T) *CaseStudy {
 	t.Helper()
@@ -42,7 +69,7 @@ func testCaseStudy(t *testing.T) *CaseStudy {
 func testSweep(t *testing.T) *Sweep {
 	t.Helper()
 	sweepOnce.Do(func() {
-		sweepVal, sweepErr = RunSweep(testOpts)
+		sweepVal, sweepErr = runSweep(testOpts)
 	})
 	if sweepErr != nil {
 		t.Fatal(sweepErr)
@@ -63,10 +90,11 @@ func TestOptionsNormalize(t *testing.T) {
 }
 
 func TestEvaluateByNameUnknown(t *testing.T) {
-	if _, err := EvaluateByName("nope", core.StructFTSPM, testOpts); err == nil {
+	ctx := context.Background()
+	if _, err := EvaluateByNameContext(ctx, "nope", core.StructFTSPM, testOpts); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := EvaluateByName("sha", core.Structure(0), testOpts); err == nil {
+	if _, err := EvaluateByNameContext(ctx, "sha", core.Structure(0), testOpts); err == nil {
 		t.Error("unknown structure accepted")
 	}
 }

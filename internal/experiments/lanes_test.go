@@ -209,12 +209,12 @@ func TestSoakWearFallsBackToScalar(t *testing.T) {
 		StrikesPerAccess: 0.01, Recovery: &rec, Wear: wear,
 	}
 	opts.Lanes = 0
-	auto, err := RunSoak(opts)
+	auto, err := runSoak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Lanes = 1
-	scalar, err := RunSoak(opts)
+	scalar, err := runSoak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,16 +271,16 @@ func TestLaneWidth(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 64}, {1, 1}, {3, 3}, {64, 64},
 	} {
-		if err := ValidateLanes(tc.in); err != nil {
-			t.Errorf("ValidateLanes(%d) = %v", tc.in, err)
+		if err := (SoakOptions{Lanes: tc.in}).Validate(); err != nil {
+			t.Errorf("Validate with lanes %d: %v", tc.in, err)
 		}
 		if got := laneWidth(tc.in); got != tc.want {
 			t.Errorf("laneWidth(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 	for _, lanes := range []int{-7, -1, 65, 999} {
-		if err := ValidateLanes(lanes); !campaign.IsUsage(err) {
-			t.Errorf("ValidateLanes(%d) = %v, want a usage error", lanes, err)
+		if err := (SoakOptions{Lanes: lanes}).Validate(); !campaign.IsUsage(err) {
+			t.Errorf("Validate with lanes %d: %v, want a usage error", lanes, err)
 		}
 		if _, err := SoakSource(SoakOptions{Lanes: lanes}, nil); !campaign.IsUsage(err) {
 			t.Errorf("SoakSource with lanes %d: %v, want a usage error", lanes, err)

@@ -77,12 +77,21 @@ type SoakOptions struct {
 	Lanes int `json:"-"`
 }
 
-// ValidateLanes rejects a Lanes setting outside 0..simd.MaxLanes as a
-// usage error. The soak CLI, the soak endpoint and SoakSource all check
-// through it, so no value is silently clamped.
-func ValidateLanes(lanes int) error {
-	if lanes < 0 || lanes > simd.MaxLanes {
-		return campaign.Usagef("lanes must be in 0..%d (got %d)", simd.MaxLanes, lanes)
+// Validate rejects out-of-range options as usage errors: negative
+// Trials or Scale, a StrikesPerAccess outside [0, 1] (or NaN), and
+// Lanes outside 0..simd.MaxLanes. Zero still selects the default. The
+// soak CLI, the soak endpoint and SoakSource all check through it, so
+// no value is silently clamped or defaulted.
+func (o SoakOptions) Validate() error {
+	switch {
+	case o.Trials < 0:
+		return campaign.Usagef("trials must be >= 0 (got %d)", o.Trials)
+	case !(o.Scale >= 0):
+		return campaign.Usagef("scale must be >= 0 (got %g)", o.Scale)
+	case !(o.StrikesPerAccess >= 0 && o.StrikesPerAccess <= 1):
+		return campaign.Usagef("strike must be a probability in [0, 1] (got %g)", o.StrikesPerAccess)
+	case o.Lanes < 0 || o.Lanes > simd.MaxLanes:
+		return campaign.Usagef("lanes must be in 0..%d (got %d)", simd.MaxLanes, o.Lanes)
 	}
 	return nil
 }
@@ -246,23 +255,6 @@ type soakTrialResult struct {
 	Strikes  uint64            `json:"strikes"`
 	Recovery spm.RecoveryStats `json:"recovery"`
 	Audit    faults.Tally      `json:"audit"`
-}
-
-// RunSoak executes a soak campaign in-memory: Trials seeded runs of the
-// workload on the structure, aggregated into one report. Any trial
-// failure fails the campaign with that trial's error. See
-// RunSoakCampaign for the crash-safe form.
-func RunSoak(opts SoakOptions) (*SoakReport, error) {
-	opts = opts.normalize()
-	reps, status, err := RunSoakCampaign(context.Background(), opts,
-		[]core.Structure{opts.Structure}, CampaignConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if f := status.FirstFailure(); f != nil {
-		return nil, f
-	}
-	return reps[0], nil
 }
 
 // soakShared is one soak source's shared state. The workload trace is
@@ -682,16 +674,24 @@ func soakConfigHash(opts SoakOptions, structures []core.Structure) (string, erro
 	}{Kind: "soak", Options: opts, Structures: structs})
 }
 
-// RunSoakCampaign executes the soak as a crash-safe campaign over every
-// (structure, trial) pair: base.Trials seeded runs of the workload on
-// each listed structure, one job per trial on the bounded worker pool.
-// On the packed engine a job's trial is one lane of a batch that the
-// first free job computes for all its lane-mates, and a job whose batch
-// is in flight computes another structure's meanwhile (see
-// packedState). Trial t uses the same derived seeds on every structure,
-// so the structures face identical strike streams (a paired
-// comparison). The trace is materialized once and replayed read-only by
-// every trial.
+// RunSoakCampaign is RunSoakOn on the in-process runner cc.RunLocal.
+// It remains only because the benchmark harness in perfbench/ imports
+// it.
+func RunSoakCampaign(ctx context.Context, base SoakOptions, structures []core.Structure,
+	cc CampaignConfig) ([]*SoakReport, *CampaignStatus, error) {
+	return RunSoakOn(ctx, base, structures, cc.RunLocal)
+}
+
+// RunSoakOn executes the soak as a crash-safe campaign over every
+// (structure, trial) pair, its jobs run on exec as in RunSweepOn:
+// base.Trials seeded runs of the workload on each listed structure, one
+// job per trial on the bounded worker pool. On the packed engine a
+// job's trial is one lane of a batch that the first free job computes
+// for all its lane-mates, and a job whose batch is in flight computes
+// another structure's meanwhile (see packedState). Trial t uses the
+// same derived seeds on every structure, so the structures face
+// identical strike streams (a paired comparison). The trace is
+// materialized once and replayed read-only by every trial.
 //
 // One report per structure is returned in input order, aggregating the
 // trials in trial order so the result is deterministic regardless of
@@ -701,13 +701,6 @@ func soakConfigHash(opts SoakOptions, structures []core.Structure) (string, erro
 // cancelled context drains in-flight trials, salvages the finished
 // ones into reports marked Incomplete, and returns an error wrapping
 // campaign.ErrIncomplete.
-func RunSoakCampaign(ctx context.Context, base SoakOptions, structures []core.Structure,
-	cc CampaignConfig) ([]*SoakReport, *CampaignStatus, error) {
-	return RunSoakOn(ctx, base, structures, cc.RunLocal)
-}
-
-// RunSoakOn runs the soak's job source on exec and assembles the
-// per-structure reports, as RunSweepOn does for the sweep.
 func RunSoakOn(ctx context.Context, base SoakOptions, structures []core.Structure,
 	exec Executor) ([]*SoakReport, *CampaignStatus, error) {
 	src, err := SoakSource(base, structures)

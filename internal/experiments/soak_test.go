@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
+	"ftspm/internal/campaign"
 	"ftspm/internal/core"
 	"ftspm/internal/spm"
 )
@@ -26,11 +28,11 @@ func TestSoakScrubbingReducesDUERate(t *testing.T) {
 
 	on, off := base, base
 	on.Recovery, off.Recovery = &recOn, &recOff
-	repOn, err := RunSoak(on)
+	repOn, err := runSoak(on)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repOff, err := RunSoak(off)
+	repOff, err := runSoak(off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestSoakWearDrivesGracefulDegradation(t *testing.T) {
 			StuckAtProb:     0.02,
 		},
 	}
-	rep, err := RunSoak(opts)
+	rep, err := runSoak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +94,11 @@ func TestSoakDeterministic(t *testing.T) {
 		Seed:             5,
 		Recovery:         &rec,
 	}
-	a, err := RunSoak(opts)
+	a, err := runSoak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSoak(opts)
+	b, err := runSoak(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +112,31 @@ func TestSoakOptionDefaultsAndValidation(t *testing.T) {
 	if n.Workload == "" || !n.Structure.Valid() || n.Trials <= 0 || n.Scale <= 0 {
 		t.Errorf("normalize left zero fields: %+v", n)
 	}
-	if _, err := RunSoak(SoakOptions{Workload: "no-such-workload"}); err == nil {
+	if _, err := runSoak(SoakOptions{Workload: "no-such-workload"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 	bad := SoakOptions{StrikesPerAccess: 0.1}
 	bad.Dist.P1 = 0.5 // does not sum to 1
-	if _, err := RunSoak(bad); err == nil {
+	if _, err := runSoak(bad); err == nil {
 		t.Error("invalid distribution accepted")
+	}
+	// Out-of-range numbers are usage errors, never defaulted or
+	// clamped; zero still selects the default.
+	for _, o := range []SoakOptions{
+		{Trials: -3},
+		{Scale: -1},
+		{Scale: math.NaN()},
+		{StrikesPerAccess: -0.5},
+		{StrikesPerAccess: 1.5},
+		{StrikesPerAccess: math.NaN()},
+		{Lanes: -1},
+		{Lanes: 65},
+	} {
+		if _, err := SoakSource(o, nil); !campaign.IsUsage(err) {
+			t.Errorf("SoakSource(%+v): %v, want a usage error", o, err)
+		}
+	}
+	if err := (SoakOptions{StrikesPerAccess: 1}).Validate(); err != nil {
+		t.Errorf("strike 1 rejected: %v", err)
 	}
 }

@@ -220,6 +220,9 @@ func (s *JobSource) AssembleSweep(raw *campaign.Report[json.RawMessage]) (*Sweep
 // SoakSource builds a soak campaign over the listed structures as a job
 // source. An empty structure list soaks base.Structure alone.
 func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, error) {
+	if err := base.Validate(); err != nil {
+		return nil, err
+	}
 	base = base.normalize()
 	if len(structures) == 0 {
 		structures = []core.Structure{base.Structure}
@@ -231,9 +234,6 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 	}
 	if err := base.Dist.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: soak: %w", err)
-	}
-	if err := ValidateLanes(base.Lanes); err != nil {
-		return nil, err
 	}
 	w, err := workloads.ByName(base.Workload)
 	if err != nil {

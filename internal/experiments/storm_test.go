@@ -37,7 +37,7 @@ func stormTestOptions() SoakOptions {
 // runSoakOn runs one storm campaign against a single structure.
 func runSoakOn(opts SoakOptions, s core.Structure) (*SoakReport, error) {
 	opts.Structure = s
-	return RunSoak(opts)
+	return runSoak(opts)
 }
 
 // TestStormSoakFallsBackToScalar pins the storm half of the fallback

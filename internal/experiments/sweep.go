@@ -26,26 +26,6 @@ type Sweep struct {
 	Options Options
 }
 
-// RunSweep evaluates the suite. See RunSweepCampaign.
-func RunSweep(opts Options) (*Sweep, error) {
-	return RunSweepContext(context.Background(), opts)
-}
-
-// RunSweepContext evaluates the suite in-memory (no checkpoint). Any
-// permanently-failed job fails the sweep with that job's error; a
-// cancelled context returns the context error. Callers needing partial
-// results, resume, retries, or deadlines use RunSweepCampaign.
-func RunSweepContext(ctx context.Context, opts Options) (*Sweep, error) {
-	sw, status, err := RunSweepCampaign(ctx, opts, CampaignConfig{})
-	if err != nil {
-		return nil, err
-	}
-	if f := status.FirstFailure(); f != nil {
-		return nil, f
-	}
-	return sw, nil
-}
-
 // sharedWorkload is one sweep workload's set-up group: the jobs of all
 // its structures. The first of them to run sets the group up (see
 // setUp) and every job then takes its own outcome from it, once. A
@@ -149,13 +129,24 @@ func sweepConfigHash(opts Options, suite []workloads.Workload, structures []core
 	}{Kind: "sweep", Options: opts, Workloads: names, Structures: structs})
 }
 
-// RunSweepCampaign evaluates the full suite on all structures as a
-// crash-safe campaign. The profile and trace of each (workload, scale)
-// depend only on the seeded generator, never on the structure, so each
-// workload is one set-up group (sharedWorkload): its trace is generated
-// twice, once for the profiler and once for all its structures'
-// machines in lockstep, and never held whole. The groups fan out over
-// the bounded worker pool. Results are deterministic regardless of
+// RunSweepCampaign is RunSweepOn on the in-process runner cc.RunLocal.
+// It remains only because the benchmark harness in perfbench/ imports
+// it.
+func RunSweepCampaign(ctx context.Context, opts Options, cc CampaignConfig) (*Sweep, *CampaignStatus, error) {
+	return RunSweepOn(ctx, opts, cc.RunLocal)
+}
+
+// RunSweepOn evaluates the full suite on all structures as a crash-safe
+// campaign whose jobs run on exec: CampaignConfig.RunLocal in process,
+// or a fabric.Config's Run across ftspmd workers. Both go through the
+// same job source, so their reports are byte-identical.
+//
+// The profile and trace of each (workload, scale) depend only on the
+// seeded generator, never on the structure, so each workload is one
+// set-up group (sharedWorkload): its trace is generated twice, once for
+// the profiler and once for all its structures' machines in lockstep,
+// and never held whole. The groups fan out over the bounded worker
+// pool. Results are deterministic regardless of
 // scheduling (every generator is seeded, each structure owns its
 // machine), and results restored from a checkpoint round-trip
 // bit-exactly through JSON — an interrupted-then-resumed sweep reports
@@ -166,13 +157,6 @@ func sweepConfigHash(opts Options, suite []workloads.Workload, structures []core
 // cancelled, in-flight jobs finish and are journaled, the rest are
 // reported pending, and the error wraps campaign.ErrIncomplete — the
 // returned Sweep then holds every salvaged outcome.
-func RunSweepCampaign(ctx context.Context, opts Options, cc CampaignConfig) (*Sweep, *CampaignStatus, error) {
-	return RunSweepOn(ctx, opts, cc.RunLocal)
-}
-
-// RunSweepOn runs the sweep's job source on exec and assembles the
-// sweep; the local runner and the distributed fabric both go through
-// it, so their reports are byte-identical.
 func RunSweepOn(ctx context.Context, opts Options, exec Executor) (*Sweep, *CampaignStatus, error) {
 	src, err := SweepSource(opts)
 	if err != nil {

@@ -46,9 +46,10 @@ func outcomesAgree(t *testing.T, label string, a, b Outcome) {
 // TestSweepSharedProfileMatchesIndependentRuns is the tentpole
 // determinism gate: the sweep — which profiles each workload once and
 // replays one shared trace — must produce outcomes identical to
-// independent Evaluate calls that recompute everything per run.
+// independent EvaluateByNameContext calls that recompute everything per
+// run.
 func TestSweepSharedProfileMatchesIndependentRuns(t *testing.T) {
-	sw, err := RunSweep(sweepTestOpts)
+	sw, err := runSweep(sweepTestOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSweepSharedProfileMatchesIndependentRuns(t *testing.T) {
 	structures := core.Structures()
 	for wi, w := range suite {
 		for si, s := range structures {
-			independent, err := Evaluate(w, s, sweepTestOpts)
+			independent, err := EvaluateByNameContext(context.Background(), w.Name, s, sweepTestOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +77,7 @@ func TestConcurrentSweepsDoNotInterfere(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunSweep(sweepTestOpts)
+			results[i], errs[i] = runSweep(sweepTestOpts)
 		}(i)
 	}
 	wg.Wait()
@@ -97,21 +98,21 @@ func TestConcurrentSweepsDoNotInterfere(t *testing.T) {
 func TestRunSweepContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sw, err := RunSweepContext(ctx, sweepTestOpts)
-	if sw != nil {
-		t.Fatal("cancelled sweep returned results")
-	}
+	sw, status, err := RunSweepOn(ctx, sweepTestOpts, CampaignConfig{}.RunLocal)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if sw != nil && status.Completed > 0 {
+		t.Fatalf("cancelled sweep completed %d jobs", status.Completed)
 	}
 }
 
 // TestCachedTraceMatchesGenerator guards the sweep's solo re-run: a
 // machine mapped on an already computed profile and run on a fresh
-// generator stream must match a whole Evaluate.
+// generator stream must match a whole EvaluateByNameContext.
 func TestCachedTraceMatchesGenerator(t *testing.T) {
 	w := workloads.CaseStudy()
-	a, err := Evaluate(w, core.StructFTSPM, sweepTestOpts)
+	a, err := EvaluateByNameContext(context.Background(), w.Name, core.StructFTSPM, sweepTestOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSweepAllocsIndependentOfScale(t *testing.T) {
 	allocated := func(scale float64) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunSweep(Options{Scale: scale}); err != nil {
+		if _, err := runSweep(Options{Scale: scale}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -373,7 +374,7 @@ func TestEnduranceGrowsWithScale(t *testing.T) {
 	}
 	prev := 0.0
 	for _, scale := range []float64{0.25, 0.5, 1} {
-		sw, err := RunSweep(Options{Scale: scale})
+		sw, err := runSweep(Options{Scale: scale})
 		if err != nil {
 			t.Fatal(err)
 		}

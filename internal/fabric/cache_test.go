@@ -98,13 +98,13 @@ func TestCoordinatorCachePartialWarmMergesWithExecution(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	reports, st, err := RunSoak(ctx, Config{
+	reports, st, err := experiments.RunSoakOn(ctx, fullOpts, structures, Config{
 		Workers:       []string{"http://127.0.0.1:1"},
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  100 * time.Millisecond,
 		Cache:         c,
 		Logf:          t.Logf,
-	}, fullOpts, structures)
+	}.Run)
 	if err != nil {
 		t.Fatalf("fabric soak: %v", err)
 	}

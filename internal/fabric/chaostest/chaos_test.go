@@ -82,12 +82,12 @@ func TestChaosSoakAllWorkersDownFallsBackToLocal(t *testing.T) {
 	w1.SetDown(true)
 	w2.SetDown(true)
 
-	reports, st, err := fabric.RunSoak(context.Background(), fabric.Config{
+	reports, st, err := experiments.RunSoakOn(context.Background(), base, structures, fabric.Config{
 		Workers:       []string{w1.URL(), w2.URL()},
 		ProbeInterval: 50 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		Logf:          t.Logf,
-	}, base, structures)
+	}.Run)
 	if err != nil {
 		t.Fatalf("fabric soak with all workers down: %v", err)
 	}
@@ -114,14 +114,14 @@ func TestChaosPersistentKillerQuarantinesJobs(t *testing.T) {
 	killer := New(t)
 	killer.SetScript(Script{KillAfterLines: 0, HangAfterLines: Off})
 
-	_, st, err := fabric.RunSoak(context.Background(), fabric.Config{
+	_, st, err := experiments.RunSoakOn(context.Background(), base, structures, fabric.Config{
 		Workers:         []string{killer.URL()},
 		ProbeInterval:   20 * time.Millisecond,
 		Lease:           2 * time.Second,
 		MaxPlacements:   2,
 		NoLocalFallback: true,
 		Logf:            t.Logf,
-	}, base, structures)
+	}.Run)
 	if !errors.Is(err, campaign.ErrIncomplete) {
 		t.Fatalf("err = %v, want wrapped campaign.ErrIncomplete", err)
 	}
@@ -158,7 +158,7 @@ func TestChaosFabricCheckpointResumesLocally(t *testing.T) {
 	var fabErr error
 	go func() {
 		defer close(done)
-		_, _, fabErr = fabric.RunSoak(ctx, fabric.Config{
+		_, _, fabErr = experiments.RunSoakOn(ctx, base, structures, fabric.Config{
 			Workers:         []string{w.URL()},
 			ChunkSize:       4,
 			ProbeInterval:   20 * time.Millisecond,
@@ -166,7 +166,7 @@ func TestChaosFabricCheckpointResumesLocally(t *testing.T) {
 			NoLocalFallback: true,
 			Checkpoint:      ckpt,
 			Logf:            t.Logf,
-		}, base, structures)
+		}.Run)
 	}()
 	// Let it merge some results, then drain the coordinator mid-flight.
 	time.Sleep(400 * time.Millisecond)

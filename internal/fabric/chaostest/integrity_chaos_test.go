@@ -35,7 +35,7 @@ func TestChaosByzantineWorkerQuarantinedByteIdentical(t *testing.T) {
 	// is guaranteed to pop chunks before the campaign drains.
 	honest.SetScript(Script{KillAfterLines: Off, HangAfterLines: Off, SlowStart: 25 * time.Millisecond})
 
-	reports, st, err := fabric.RunSoak(context.Background(), fabric.Config{
+	reports, st, err := experiments.RunSoakOn(context.Background(), base, structures, fabric.Config{
 		Workers:       []string{byz.URL(), honest.URL()},
 		ChunkSize:     1,
 		Lease:         2 * time.Second,
@@ -43,7 +43,7 @@ func TestChaosByzantineWorkerQuarantinedByteIdentical(t *testing.T) {
 		MaxPlacements: 5,
 		AuditFrac:     1,
 		Logf:          t.Logf,
-	}, base, structures)
+	}.Run)
 	if err != nil {
 		t.Fatalf("fabric soak with byzantine worker: %v", err)
 	}
@@ -100,11 +100,11 @@ func TestChaosFingerprintSkewRefusedAtPlacement(t *testing.T) {
 	skewed := NewWithServerConfig(t, server.Config{Fingerprint: "fp-skewed-build"})
 	honest := New(t)
 
-	reports, st, err := fabric.RunSoak(context.Background(), fabric.Config{
+	reports, st, err := experiments.RunSoakOn(context.Background(), base, structures, fabric.Config{
 		Workers:       []string{skewed.URL(), honest.URL()},
 		ProbeInterval: 20 * time.Millisecond,
 		Logf:          t.Logf,
-	}, base, structures)
+	}.Run)
 	if err != nil {
 		t.Fatalf("fabric soak with skewed worker: %v", err)
 	}

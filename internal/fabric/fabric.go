@@ -205,12 +205,14 @@ type fabricRun struct {
 	suspects map[string]bool
 }
 
-// Run executes the campaign described by src across cfg.Workers and
+// Run executes the campaign described by src across c.Workers and
 // returns the merged raw report. On cancellation or quarantine the
 // report carries every durable result and the error wraps
-// campaign.ErrIncomplete, exactly like the local campaign runner.
-func Run(ctx context.Context, cfg Config, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
-	cfg = cfg.withDefaults()
+// campaign.ErrIncomplete, exactly like the local campaign runner. The
+// method value cfg.Run is an experiments.Executor, as
+// CampaignConfig.RunLocal is.
+func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
+	cfg := c.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, ErrNoWorkers
 	}

@@ -2,11 +2,8 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 
-	"ftspm/internal/campaign"
-	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 )
 
@@ -27,23 +24,9 @@ func ParseWorkers(s string) []string {
 	return out
 }
 
-// RunSweep executes the full-suite sweep campaign across the fabric.
-// It returns the same (sweep, status, error) a local
-// experiments.RunSweepCampaign does — assembled by the same source, so
-// a distributed sweep is byte-identical to a single-node run.
+// RunSweep executes the full-suite sweep campaign across the fabric:
+// RunSweepOn with cfg.Run as the executor. It remains only because the
+// benchmark harness in perfbench/ imports it.
 func RunSweep(ctx context.Context, cfg Config, opts experiments.Options) (*experiments.Sweep, *experiments.CampaignStatus, error) {
-	return experiments.RunSweepOn(ctx, opts, executor(cfg))
-}
-
-// RunSoak executes a soak campaign over the listed structures across
-// the fabric, mirroring experiments.RunSoakCampaign.
-func RunSoak(ctx context.Context, cfg Config, base experiments.SoakOptions, structures []core.Structure) ([]*experiments.SoakReport, *experiments.CampaignStatus, error) {
-	return experiments.RunSoakOn(ctx, base, structures, executor(cfg))
-}
-
-// executor binds Run to cfg.
-func executor(cfg Config) experiments.Executor {
-	return func(ctx context.Context, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
-		return Run(ctx, cfg, src)
-	}
+	return experiments.RunSweepOn(ctx, opts, cfg.Run)
 }

@@ -128,7 +128,7 @@ func TestFabricSoakChunksFillToCap(t *testing.T) {
 	var reps []*experiments.SoakReport
 	var st *experiments.CampaignStatus
 	n := setupsDuring(func() {
-		reps, st, err = RunSoak(context.Background(), cfg, base, structures)
+		reps, st, err = experiments.RunSoakOn(context.Background(), base, structures, cfg.Run)
 	})
 	if err != nil || st.Incomplete || st.Failed != 0 {
 		t.Fatalf("fabric soak: %v %+v", err, st)

@@ -99,19 +99,6 @@ func Build(prog *program.Program, place spm.Placement, s trace.Stream,
 		accessIdx++
 	}
 
-	// nextUse[i] = index into uses of the next use of the same block
-	// after i (len(uses) = never).
-	nextUse := make([]int, len(uses))
-	last := make(map[program.BlockID]int)
-	for i := len(uses) - 1; i >= 0; i-- {
-		if n, ok := last[uses[i].block]; ok {
-			nextUse[i] = n
-		} else {
-			nextUse[i] = len(uses)
-		}
-		last[uses[i].block] = i
-	}
-
 	// Planned occupancy per (side, kind): the code and data SPMs are
 	// physically separate structures.
 	type sideKind struct {

@@ -61,11 +61,10 @@ type EvaluateResponse struct {
 	cached bool
 }
 
-// SweepRequest is the body of POST /v1/sweep: the full suite × all
-// structures as an asynchronous crash-safe campaign job.
-type SweepRequest struct {
-	// Scale multiplies the reference trace length (0 = default).
-	Scale float64 `json:"scale,omitempty"`
+// CampaignRequest is the crash-safe campaign block that SweepRequest
+// and SoakRequest embed: its fields sit at the top level of either
+// JSON body.
+type CampaignRequest struct {
 	// Workers bounds the campaign's sim worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 	// Retries is the per-sim-job retry budget.
@@ -82,6 +81,14 @@ type SweepRequest struct {
 	Resume bool `json:"resume,omitempty"`
 }
 
+// SweepRequest is the body of POST /v1/sweep: the full suite × all
+// structures as an asynchronous crash-safe campaign job.
+type SweepRequest struct {
+	// Scale multiplies the reference trace length (0 = default).
+	Scale float64 `json:"scale,omitempty"`
+	CampaignRequest
+}
+
 // SoakRequest is the body of POST /v1/soak: a Monte-Carlo recovery
 // stress campaign as an asynchronous job.
 type SoakRequest struct {
@@ -90,11 +97,13 @@ type SoakRequest struct {
 	// Structures lists the evaluated organizations (default: the
 	// requested or default soak structure).
 	Structures []string `json:"structures,omitempty"`
-	// Trials is the number of independently-seeded runs per structure.
+	// Trials is the number of independently-seeded runs per structure
+	// (0 = default; negative is answered 400).
 	Trials int `json:"trials,omitempty"`
-	// Scale multiplies the reference trace length (default 0.05).
+	// Scale multiplies the reference trace length (default 0.05;
+	// negative is answered 400).
 	Scale float64 `json:"scale,omitempty"`
-	// Strike is the per-access particle-strike probability.
+	// Strike is the per-access particle-strike probability, in [0, 1].
 	Strike float64 `json:"strike,omitempty"`
 	// Seed drives the campaign.
 	Seed int64 `json:"seed,omitempty"`
@@ -115,13 +124,7 @@ type SoakRequest struct {
 	// cap the width; any other value is answered 400. The results are
 	// identical either way.
 	Lanes int `json:"lanes,omitempty"`
-	// Workers, Retries, JobTimeoutMS, Checkpoint, Resume: as in
-	// SweepRequest.
-	Workers      int    `json:"workers,omitempty"`
-	Retries      int    `json:"retries,omitempty"`
-	JobTimeoutMS int64  `json:"job_timeout_ms,omitempty"`
-	Checkpoint   string `json:"checkpoint,omitempty"`
-	Resume       bool   `json:"resume,omitempty"`
+	CampaignRequest
 }
 
 // SoakResult is the payload of a finished soak job.

@@ -34,13 +34,15 @@ func startDaemon(t *testing.T, dataDir string) (*server.Server, *client.Client) 
 // meaningful.
 func soakParams(checkpoint string, resume bool) server.SoakRequest {
 	return server.SoakRequest{
-		Trials:     8,
-		Scale:      0.05,
-		Strike:     0.01,
-		Seed:       99,
-		Workers:    1,
-		Checkpoint: checkpoint,
-		Resume:     resume,
+		Trials: 8,
+		Scale:  0.05,
+		Strike: 0.01,
+		Seed:   99,
+		CampaignRequest: server.CampaignRequest{
+			Workers:    1,
+			Checkpoint: checkpoint,
+			Resume:     resume,
+		},
 		// Scalar path: drain must land while trials are still in
 		// flight, and the packed engine finishes all 8 in one trace
 		// pass before the Drain call can race it. Packed/scalar output
@@ -69,7 +71,8 @@ func runToCompletion(t *testing.T, cl *client.Client, req server.SoakRequest) se
 func TestSoakJobLifecycle(t *testing.T) {
 	_, cl := startDaemon(t, t.TempDir())
 	st := runToCompletion(t, cl, server.SoakRequest{
-		Trials: 2, Scale: 0.02, Strike: 0.01, Seed: 7, Workers: 1,
+		Trials: 2, Scale: 0.02, Strike: 0.01, Seed: 7,
+		CampaignRequest: server.CampaignRequest{Workers: 1},
 	})
 	if st.State != server.JobDone {
 		t.Fatalf("job state = %q (error %q), want done", st.State, st.Error)
@@ -97,7 +100,8 @@ func TestSoakJobLifecycle(t *testing.T) {
 func TestStormSoakJobAndHealthCounters(t *testing.T) {
 	_, cl := startDaemon(t, t.TempDir())
 	st := runToCompletion(t, cl, server.SoakRequest{
-		Trials: 2, Scale: 0.02, Seed: 7, Workers: 1,
+		Trials: 2, Scale: 0.02, Seed: 7,
+		CampaignRequest: server.CampaignRequest{Workers: 1},
 		Storm: &faults.StormConfig{
 			StormStrikesPerAccess: 0.25,
 			MeanCalmAccesses:      500,
@@ -141,8 +145,8 @@ func TestJobCancelIsResumable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	job, err := cl.Soak(ctx, server.SoakRequest{
-		Trials: 500, Scale: 0.02, Strike: 0.01, Seed: 1, Workers: 1,
-		Checkpoint: "cancelme.ckpt",
+		Trials: 500, Scale: 0.02, Strike: 0.01, Seed: 1,
+		CampaignRequest: server.CampaignRequest{Workers: 1, Checkpoint: "cancelme.ckpt"},
 	})
 	if err != nil {
 		t.Fatalf("submit soak: %v", err)

@@ -294,6 +294,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "workload is required", 0)
 		return
 	}
+	if req.Scale < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("scale must be >= 0 (got %g)", req.Scale), 0)
+		return
+	}
 	structure, err := core.ParseStructure(req.Structure)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
@@ -364,31 +368,44 @@ func resolveCheckpoint(requested, jobDefault string) (string, error) {
 	return requested, nil
 }
 
+// config checks the block and returns the campaign config it asks for,
+// over the server's result cache. The job sets Checkpoint to its
+// resolved journal path.
+func (c CampaignRequest) config(cache *resultcache.Cache) (experiments.CampaignConfig, error) {
+	if c.Resume && c.Checkpoint == "" {
+		return experiments.CampaignConfig{}, errors.New("resume requires a named checkpoint")
+	}
+	return experiments.CampaignConfig{
+		Resume:     c.Resume,
+		Workers:    c.Workers,
+		Retries:    c.Retries,
+		JobTimeout: time.Duration(c.JobTimeoutMS) * time.Millisecond,
+		Cache:      cache,
+	}, nil
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	if req.Resume && req.Checkpoint == "" {
-		writeError(w, http.StatusBadRequest, "resume requires a named checkpoint", 0)
+	cc, err := req.config(s.cache)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = s.cfg.DefaultScale
+	if req.Scale < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("scale must be >= 0 (got %g)", req.Scale), 0)
+		return
+	}
+	opts := experiments.Options{Scale: req.Scale}
+	if opts.Scale == 0 {
+		opts.Scale = s.cfg.DefaultScale
 	}
 	s.submitJob(w, "sweep", req.Checkpoint, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
-		opts := experiments.Options{Scale: scale}
-		cc := experiments.CampaignConfig{
-			Checkpoint: ckptPath,
-			Resume:     req.Resume,
-			Workers:    req.Workers,
-			Retries:    req.Retries,
-			JobTimeout: time.Duration(req.JobTimeoutMS) * time.Millisecond,
-			Cache:      s.cache,
-		}
-		sw, status, runErr := experiments.RunSweepCampaign(ctx, opts, cc)
+		cc.Checkpoint = ckptPath
+		sw, status, runErr := experiments.RunSweepOn(ctx, opts, cc.RunLocal)
 		if sw == nil {
 			return nil, runErr
 		}
@@ -410,11 +427,8 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	if req.Resume && req.Checkpoint == "" {
-		writeError(w, http.StatusBadRequest, "resume requires a named checkpoint", 0)
-		return
-	}
-	if err := experiments.ValidateLanes(req.Lanes); err != nil {
+	cc, err := req.config(s.cache)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
@@ -440,6 +454,10 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		Lanes:            req.Lanes,
 		Storm:            req.Storm,
 	}
+	if err := opts.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error(), 0)
+		return
+	}
 	if !req.NoRecovery {
 		rec := spm.DefaultRecovery()
 		if req.AdaptiveScrub {
@@ -452,15 +470,8 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		s.stormJobs.Add(1)
 	}
 	s.submitJob(w, "soak", req.Checkpoint, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
-		cc := experiments.CampaignConfig{
-			Checkpoint: ckptPath,
-			Resume:     req.Resume,
-			Workers:    req.Workers,
-			Retries:    req.Retries,
-			JobTimeout: time.Duration(req.JobTimeoutMS) * time.Millisecond,
-			Cache:      s.cache,
-		}
-		reports, status, runErr := experiments.RunSoakCampaign(ctx, opts, structures, cc)
+		cc.Checkpoint = ckptPath
+		reports, status, runErr := experiments.RunSoakOn(ctx, opts, structures, cc.RunLocal)
 		if reports == nil {
 			return nil, runErr
 		}

@@ -439,6 +439,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"soak bad structure", "/v1/soak", `{"structures":["quantum"]}`},
 		{"sweep bad checkpoint", "/v1/sweep", `{"checkpoint":"../evil"}`},
 		{"soak bad checkpoint", "/v1/soak", `{"checkpoint":"a/b"}`},
+		{"sweep negative scale", "/v1/sweep", `{"scale":-1}`},
+		{"evaluate negative scale", "/v1/evaluate", `{"workload":"sha","structure":"ftspm","scale":-1}`},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+tc.ep, tc.body)
@@ -448,18 +450,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSoakLanesOutOfRange: a lane width outside 0..64 is answered 400
-// before any job is submitted, never clamped to a width that runs.
+// TestSoakLanesOutOfRange: a soak body with an out-of-range number (a
+// lane width outside 0..64, a strike probability outside [0, 1],
+// negative trials or scale) is answered 400 naming the field before any
+// job is submitted, never clamped or defaulted to a value that runs.
 func TestSoakLanesOutOfRange(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, lanes := range []int{-7, 65, 999} {
-		resp, body := postJSON(t, ts.URL+"/v1/soak", fmt.Sprintf(`{"trials":1,"scale":0.01,"lanes":%d}`, lanes))
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "lanes must be in 0..64") {
-			t.Errorf("lanes %d: code %d, want 400 naming the lane range\n%s", lanes, resp.StatusCode, body)
+	for _, tc := range []struct{ body, want string }{
+		{`{"trials":1,"scale":0.01,"lanes":-7}`, "lanes must be in 0..64"},
+		{`{"trials":1,"scale":0.01,"lanes":65}`, "lanes must be in 0..64"},
+		{`{"trials":1,"scale":0.01,"lanes":999}`, "lanes must be in 0..64"},
+		{`{"trials":1,"scale":0.01,"strike":1.5}`, "strike must be a probability in [0, 1]"},
+		{`{"trials":1,"scale":0.01,"strike":-0.5}`, "strike must be a probability in [0, 1]"},
+		{`{"trials":-3,"scale":0.01}`, "trials must be"},
+		{`{"trials":1,"scale":-1}`, "scale must be"},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/soak", tc.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: code %d, want 400 naming %q\n%s", tc.body, resp.StatusCode, tc.want, body)
 		}
 	}
-	if resp := getJSON(t, ts.URL+"/v1/jobs/soak-000001", nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("a rejected soak submitted a job: GET soak-000001 answered %d, want 404", resp.StatusCode)
+	var jobs JobList
+	getJSON(t, ts.URL+"/v1/jobs", &jobs)
+	if len(jobs.Jobs) != 0 {
+		t.Fatalf("rejected soaks submitted %d jobs, the first %s", len(jobs.Jobs), jobs.Jobs[0].ID)
 	}
 }
 
