@@ -79,9 +79,9 @@ type soakFault struct {
 }
 
 // soakCacheKey keys one (structure, trial) soak job. opts must already
-// be normalized and carry the job's structure. Trials (the campaign's
-// trial count) and Lanes are excluded: per-trial results depend only
-// on the derived seed, so campaigns of different sizes share entries.
+// be normalized. Trials (the campaign's trial count) and Lanes are
+// excluded: per-trial results depend only on the derived seed, so
+// campaigns of different sizes share entries.
 func soakCacheKey(opts SoakOptions, s core.Structure, trial int) (resultcache.Key, error) {
 	base := struct {
 		Workload  string          `json:"workload"`
@@ -103,7 +103,7 @@ func soakCacheKey(opts SoakOptions, s core.Structure, trial int) (resultcache.Ke
 	return resultcache.NewKey(cacheKindSoak, base, fault)
 }
 
-// UseCache attaches a result cache to the source: Job/Jobs wrap every
+// UseCache attaches a result cache to the source: Jobs wraps every
 // runner in a cache lookup (with singleflight collapsing), so a job
 // whose key is cached journals the cached bytes without executing.
 // Because the cache stores the exact bytes the runner would have
@@ -113,35 +113,15 @@ func (s *JobSource) UseCache(c *resultcache.Cache) error {
 	if c == nil {
 		return nil
 	}
-	keys := make(map[string]resultcache.Key, len(s.IDs))
-	switch s.Kind {
-	case KindSweep:
-		for _, st := range s.structures {
-			for _, w := range s.suite {
-				k, err := evaluateCacheKey(w.Name, st, *s.SweepOpts)
-				if err != nil {
-					return err
-				}
-				keys[sweepJobID(w.Name, st)] = k
-			}
+	for _, id := range s.IDs {
+		j := s.jobs[id]
+		k, err := j.cacheKey()
+		if err != nil {
+			return err
 		}
-	case KindSoak:
-		for _, st := range s.SoakStructures {
-			opts := *s.SoakOpts
-			opts.Structure = st
-			for t := 0; t < s.SoakOpts.Trials; t++ {
-				k, err := soakCacheKey(opts, st, t)
-				if err != nil {
-					return err
-				}
-				keys[soakJobID(st, t)] = k
-			}
-		}
-	default:
-		return fmt.Errorf("experiments: UseCache on a %s source", s.Kind)
+		j.key = k
 	}
 	s.cache = c
-	s.keys = keys
 	return nil
 }
 
@@ -151,14 +131,11 @@ func (s *JobSource) UseCache(c *resultcache.Cache) error {
 // uses this to merge hits instantly instead of placing the job on a
 // worker.
 func (s *JobSource) CachedResult(id string) (campaign.Result[json.RawMessage], bool) {
-	if s.cache == nil {
+	j, ok := s.jobs[id]
+	if s.cache == nil || !ok {
 		return campaign.Result[json.RawMessage]{}, false
 	}
-	k, ok := s.keys[id]
-	if !ok {
-		return campaign.Result[json.RawMessage]{}, false
-	}
-	v, ok := s.cache.Get(k)
+	v, ok := s.cache.Get(j.key)
 	if !ok {
 		return campaign.Result[json.RawMessage]{}, false
 	}
@@ -170,12 +147,12 @@ func (s *JobSource) CachedResult(id string) (campaign.Result[json.RawMessage], b
 	}, true
 }
 
-// cachedRun wraps one job runner in the cache: lookup (or collapse
-// onto an identical in-flight run), compute on miss, store. The bytes
+// cachedRun wraps one job runner in cache c: lookup (or collapse onto
+// an identical in-flight run), compute on miss, store. The bytes
 // returned are the runner's own marshaling either way.
-func (s *JobSource) cachedRun(k resultcache.Key, run func(context.Context) (json.RawMessage, error)) func(context.Context) (json.RawMessage, error) {
+func cachedRun(c *resultcache.Cache, k resultcache.Key, run func(context.Context) (json.RawMessage, error)) func(context.Context) (json.RawMessage, error) {
 	return func(ctx context.Context) (json.RawMessage, error) {
-		v, _, err := s.cache.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
+		v, _, err := c.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
 			return run(cctx)
 		})
 		return v, err

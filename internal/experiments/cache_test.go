@@ -177,11 +177,11 @@ func TestCachedResultMatchesFreshRun(t *testing.T) {
 	if !ok {
 		t.Fatalf("no cached result for %s after a cached sweep", id)
 	}
-	job, err := src.Job(id)
+	jobs, err := src.Jobs([]string{id})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := job.Run(ctx)
+	fresh, err := jobs[0].Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -382,41 +380,23 @@ type packedState struct {
 	open, next int
 }
 
-// want marks the batch covering job id as wanted. IDs of other
-// sources, and any ID at width 1, are ignored.
-func (sh *soakShared) want(id string) {
+// want marks the batch covering trial t of ss as wanted (a no-op at
+// width 1).
+func (sh *soakShared) want(ss *soakStructShared, t int) {
 	if sh.width <= 1 {
 		return
 	}
-	rest, ok := strings.CutPrefix(id, KindSoak+"/")
-	if !ok {
-		return
-	}
-	name, trial, ok := strings.Cut(rest, "/trial/")
-	if !ok {
-		return
-	}
-	t, err := strconv.Atoi(trial)
-	if err != nil || t < 0 || t >= sh.opts.Trials {
-		return
-	}
-	for _, ss := range sh.structs {
-		if ss.structure.String() != name {
-			continue
+	ps, b := &ss.packed, t/sh.width
+	sh.mu.Lock()
+	if !ps.wanted[b] {
+		ps.wanted[b] = true
+		if ps.results[b] == nil {
+			ps.open++
+			ps.next = min(ps.next, b)
+			sh.cond.Broadcast()
 		}
-		ps, b := &ss.packed, t/sh.width
-		sh.mu.Lock()
-		if !ps.wanted[b] {
-			ps.wanted[b] = true
-			if ps.results[b] == nil {
-				ps.open++
-				ps.next = min(ps.next, b)
-				sh.cond.Broadcast()
-			}
-		}
-		sh.mu.Unlock()
-		return
 	}
+	sh.mu.Unlock()
 }
 
 // packedTrial returns trial t's packed result, computing its lane batch
@@ -661,17 +641,13 @@ func soakJobID(s core.Structure, trial int) string {
 }
 
 // soakConfigHash fingerprints everything that determines a soak trial's
-// result.
-func soakConfigHash(opts SoakOptions, structures []core.Structure) (string, error) {
-	structs := make([]string, len(structures))
-	for i, s := range structures {
-		structs[i] = s.String()
-	}
+// result; structures are the canonical structure names.
+func soakConfigHash(opts SoakOptions, structures []string) (string, error) {
 	return campaign.HashJSON(struct {
 		Kind       string
 		Options    SoakOptions
 		Structures []string
-	}{Kind: "soak", Options: opts, Structures: structs})
+	}{Kind: KindSoak, Options: opts, Structures: structures})
 }
 
 // RunSoakCampaign is RunSoakOn on the in-process runner cc.RunLocal.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"ftspm/internal/campaign"
@@ -15,83 +14,118 @@ import (
 
 // This file defines JobSource, the location-transparent view of one
 // campaign that the distributed fabric is built on. A source is derived
-// purely from serializable options, so two processes given the same
-// options construct the same job IDs, the same config hash, and jobs
-// that compute the same results — which is what lets a coordinator ship
-// ID lists to remote ftspmd workers, merge the streamed-back raw
-// results, and still assemble reports byte-identical to a local run.
-// The local campaign paths (RunSweepCampaign, RunSoakCampaign) run on
-// the very same source, so there is exactly one job-construction and
-// one aggregation code path to keep correct.
+// purely from its CampaignSpec, a serializable description, so two
+// processes given the same spec construct the same job IDs, the same
+// config hash, and jobs that compute the same results — which is what
+// lets a coordinator ship the spec and ID lists to remote ftspmd
+// workers, merge the streamed-back raw results, and still assemble
+// reports byte-identical to a local run. The in-process executor
+// (CampaignConfig.RunLocal) runs the very same source, so there is
+// exactly one job-construction and one aggregation code path to keep
+// correct.
 
-// Campaign kinds a JobSource can describe.
+// Campaign kinds a CampaignSpec can describe.
 const (
 	KindSweep = "sweep"
 	KindSoak  = "soak"
 )
+
+// CampaignSpec is the serializable description of one campaign: its
+// kind and that kind's normalized options. The fabric's wire request
+// embeds it, so its JSON is part of the worker protocol.
+type CampaignSpec struct {
+	// Kind selects the campaign family: KindSweep or KindSoak.
+	Kind string `json:"kind"`
+	// Sweep holds the sweep options (kind "sweep").
+	Sweep *Options `json:"sweep,omitempty"`
+	// Soak holds the soak base options, and Structures the soaked
+	// structures by their canonical core.Structure.String() names
+	// (kind "soak").
+	Soak       *SoakOptions `json:"soak,omitempty"`
+	Structures []string     `json:"structures,omitempty"`
+}
+
+// Source builds the campaign's job source. The fabric coordinator
+// builds the job list it shards from it, and each worker rebuilds —
+// and hash-checks — the same source from the spec it was sent.
+func (c CampaignSpec) Source() (*JobSource, error) {
+	switch c.Kind {
+	case KindSweep:
+		if c.Sweep == nil {
+			return nil, fmt.Errorf("experiments: sweep campaign without sweep options")
+		}
+		return SweepSource(*c.Sweep)
+	case KindSoak:
+		if c.Soak == nil {
+			return nil, fmt.Errorf("experiments: soak campaign without soak options")
+		}
+		structures := make([]core.Structure, len(c.Structures))
+		for i, name := range c.Structures {
+			s, err := core.ParseStructure(name)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %w", err)
+			}
+			structures[i] = s
+		}
+		return SoakSource(*c.Soak, structures)
+	default:
+		return nil, fmt.Errorf("experiments: unknown campaign kind %q", c.Kind)
+	}
+}
 
 // JobSource is one campaign's deterministic job list: stable IDs, the
 // config hash that fingerprints every knob influencing results, and a
 // runner per job returning the result as raw JSON (exactly the bytes
 // the checkpoint journal records).
 type JobSource struct {
-	// Kind is KindSweep or KindSoak.
-	Kind string
+	// Spec describes the campaign, its options normalized.
+	Spec CampaignSpec
 	// Hash fingerprints the campaign configuration; remote workers
 	// refuse job lists whose hash does not match their own derivation.
 	Hash string
 	// IDs lists every job in campaign (dispatch) order.
 	IDs []string
 
-	// SweepOpts holds the normalized options of a sweep source.
-	SweepOpts *Options
-	// SoakOpts and SoakStructures hold the normalized configuration of
-	// a soak source.
-	SoakOpts       *SoakOptions
-	SoakStructures []core.Structure
-
-	runs map[string]func(ctx context.Context) (json.RawMessage, error)
-	// soak is a soak source's batch board: handing out a job marks its
-	// lane batch wanted there (nil for a sweep).
-	soak *soakShared
-
-	// cache state (set by UseCache): the result cache consulted before
-	// running a job, and each job's content-addressed key.
+	// jobs is the job table, one entry per ID.
+	jobs map[string]*sourceJob
+	// cache, set by UseCache, is consulted before running a job.
 	cache *resultcache.Cache
-	keys  map[string]resultcache.Key
+	// soak is a soak source's batch board (nil for a sweep). Its jobs'
+	// hand-out hooks hold it too; tests set its batch hook here.
+	soak *soakShared
 
 	// assembly state
 	suite      []workloads.Workload
 	structures []core.Structure
 }
 
-// Job returns the runnable job for one ID. With a cache attached (see
-// UseCache), the runner consults it first and stores on miss; the
-// journaled bytes are identical either way.
-func (s *JobSource) Job(id string) (campaign.Job[json.RawMessage], error) {
-	run, ok := s.run(id)
-	if !ok {
-		return campaign.Job[json.RawMessage]{}, fmt.Errorf("experiments: unknown job ID %q", id)
-	}
-	if s.cache != nil {
-		if k, ok := s.keys[id]; ok {
-			run = s.cachedRun(k, run)
-		}
-	}
-	return campaign.Job[json.RawMessage]{ID: id, Run: run}, nil
+// sourceJob is one entry of a source's job table.
+type sourceJob struct {
+	run func(ctx context.Context) (json.RawMessage, error)
+	// setup is the job's set-up key (see SetupKey).
+	setup string
+	// cacheKey derives the job's result-cache key; UseCache calls it
+	// and stores the key in key.
+	cacheKey func() (resultcache.Key, error)
+	key      resultcache.Key
+	// handOut, when non-nil, runs as the job is handed out: a soak job
+	// marks its lane batch wanted on the batch board, so only the
+	// batches of handed-out jobs are computed by jobs helping their
+	// neighbours.
+	handOut func()
+}
+
+// add appends job id to the source's dispatch order and job table.
+func (s *JobSource) add(id string, j sourceJob) {
+	s.IDs = append(s.IDs, id)
+	s.jobs[id] = &j
 }
 
 // Jobs returns runnable jobs for the listed IDs, in the given order.
+// With a cache attached (see UseCache), each runner consults it first
+// and stores on miss; the journaled bytes are identical either way.
 func (s *JobSource) Jobs(ids []string) ([]campaign.Job[json.RawMessage], error) {
-	jobs := make([]campaign.Job[json.RawMessage], 0, len(ids))
-	for _, id := range ids {
-		j, err := s.Job(id)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
+	return s.runnable(ids, s.cache)
 }
 
 // JobsUncached returns runnable jobs that bypass any attached cache —
@@ -99,26 +133,28 @@ func (s *JobSource) Jobs(ids []string) ([]campaign.Job[json.RawMessage], error) 
 // path: an audit that read back a memo instead of recomputing would
 // verify nothing.
 func (s *JobSource) JobsUncached(ids []string) ([]campaign.Job[json.RawMessage], error) {
+	return s.runnable(ids, nil)
+}
+
+// runnable hands out the listed jobs, running each one's hand-out hook
+// and wrapping its runner in cache c when c is non-nil.
+func (s *JobSource) runnable(ids []string, c *resultcache.Cache) ([]campaign.Job[json.RawMessage], error) {
 	jobs := make([]campaign.Job[json.RawMessage], 0, len(ids))
 	for _, id := range ids {
-		run, ok := s.run(id)
+		j, ok := s.jobs[id]
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown job ID %q", id)
+		}
+		if j.handOut != nil {
+			j.handOut()
+		}
+		run := j.run
+		if c != nil {
+			run = cachedRun(c, j.key, run)
 		}
 		jobs = append(jobs, campaign.Job[json.RawMessage]{ID: id, Run: run})
 	}
 	return jobs, nil
-}
-
-// run returns the runner of job id, marking the job wanted on a soak
-// source's batch board: only the batches of handed-out jobs are
-// computed by jobs helping their neighbours.
-func (s *JobSource) run(id string) (func(context.Context) (json.RawMessage, error), bool) {
-	run, ok := s.runs[id]
-	if ok && s.soak != nil {
-		s.soak.want(id)
-	}
-	return run, ok
 }
 
 // SetupKey names the once-per-key set-up job id shares with its
@@ -128,22 +164,14 @@ func (s *JobSource) run(id string) (func(context.Context) (json.RawMessage, erro
 // sharedWorkload: one profile and one lockstep simulation of all its
 // structures). A soak's costly set-up, the trace and profile in
 // soakShared, belongs to the whole source, so every soak job has the
-// one key s.Kind and soak chunks fill to the cap: splitting them by
-// structure would only add placements, each repeating that set-up. The
-// key is read off the ID; an unrecognized ID is its own key.
+// one key KindSoak and soak chunks fill to the cap: splitting them by
+// structure would only add placements, each repeating that set-up. An
+// ID not in the source is its own key.
 func (s *JobSource) SetupKey(id string) string {
-	rest, ok := strings.CutPrefix(id, s.Kind+"/")
-	if !ok {
-		return id
+	if j, ok := s.jobs[id]; ok {
+		return j.setup
 	}
-	if s.Kind != KindSweep {
-		return s.Kind
-	}
-	i := strings.LastIndexByte(rest, '/') // sweep/<workload>/<structure>
-	if i < 0 {
-		return id
-	}
-	return rest[:i]
+	return id
 }
 
 // setups counts once-per-key set-ups (a sweep workload's group, a
@@ -163,10 +191,9 @@ func SweepSource(opts Options) (*JobSource, error) {
 		return nil, err
 	}
 	src := &JobSource{
-		Kind:       KindSweep,
+		Spec:       CampaignSpec{Kind: KindSweep, Sweep: &opts},
 		Hash:       hash,
-		SweepOpts:  &opts,
-		runs:       make(map[string]func(context.Context) (json.RawMessage, error), len(suite)*len(structures)),
+		jobs:       make(map[string]*sourceJob, len(suite)*len(structures)),
 		suite:      suite,
 		structures: structures,
 	}
@@ -177,16 +204,18 @@ func SweepSource(opts Options) (*JobSource, error) {
 	// placement chunk holds whole workloads and sets each up once.
 	for si, s := range structures {
 		for wi, w := range suite {
-			w, si, sh := w, si, &shares[wi]
-			id := sweepJobID(w.Name, s)
-			src.IDs = append(src.IDs, id)
-			src.runs[id] = func(jctx context.Context) (json.RawMessage, error) {
-				out, err := runSweepJob(jctx, w, structures, si, sh, opts)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(out)
-			}
+			w, si, s, sh := w, si, s, &shares[wi]
+			src.add(sweepJobID(w.Name, s), sourceJob{
+				run: func(jctx context.Context) (json.RawMessage, error) {
+					out, err := runSweepJob(jctx, w, structures, si, sh, opts)
+					if err != nil {
+						return nil, err
+					}
+					return json.Marshal(out)
+				},
+				setup:    w.Name,
+				cacheKey: func() (resultcache.Key, error) { return evaluateCacheKey(w.Name, s, opts) },
+			})
 		}
 	}
 	return src, nil
@@ -195,14 +224,14 @@ func SweepSource(opts Options) (*JobSource, error) {
 // AssembleSweep folds a finished (possibly merged-from-remote) raw
 // report of this sweep source into the Sweep and campaign status.
 func (s *JobSource) AssembleSweep(raw *campaign.Report[json.RawMessage]) (*Sweep, *CampaignStatus, error) {
-	if s.Kind != KindSweep {
-		return nil, nil, fmt.Errorf("experiments: AssembleSweep on a %s source", s.Kind)
+	if s.Spec.Kind != KindSweep {
+		return nil, nil, fmt.Errorf("experiments: AssembleSweep on a %s source", s.Spec.Kind)
 	}
 	rep, err := campaign.DecodeReport[Outcome](raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	sw := &Sweep{Options: *s.SweepOpts}
+	sw := &Sweep{Options: *s.Spec.Sweep}
 	sw.Workloads = make([]string, len(s.suite))
 	sw.Outcomes = make([][]Outcome, len(s.suite))
 	for wi, w := range s.suite {
@@ -227,10 +256,12 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 	if len(structures) == 0 {
 		structures = []core.Structure{base.Structure}
 	}
-	for _, s := range structures {
+	names := make([]string, len(structures))
+	for i, s := range structures {
 		if !s.Valid() {
 			return nil, fmt.Errorf("experiments: soak: invalid structure %d", s)
 		}
+		names[i] = s.String()
 	}
 	if err := base.Dist.Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: soak: %w", err)
@@ -239,19 +270,18 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 	if err != nil {
 		return nil, err
 	}
-	hash, err := soakConfigHash(base, structures)
+	hash, err := soakConfigHash(base, names)
 	if err != nil {
 		return nil, err
 	}
-	src := &JobSource{
-		Kind:           KindSoak,
-		Hash:           hash,
-		SoakOpts:       &base,
-		SoakStructures: structures,
-		runs:           make(map[string]func(context.Context) (json.RawMessage, error), len(structures)*base.Trials),
-	}
 	sh := newSoakShared(w, base)
-	src.soak = sh
+	src := &JobSource{
+		Spec:       CampaignSpec{Kind: KindSoak, Soak: &base, Structures: names},
+		Hash:       hash,
+		jobs:       make(map[string]*sourceJob, len(structures)*base.Trials),
+		soak:       sh,
+		structures: structures,
+	}
 	// Structure-major dispatch: with short trials this keeps every
 	// structure's shared setup warm early instead of computing them all
 	// back-to-back at the end. The batch board lets a job whose lane
@@ -260,15 +290,18 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 		ss := sh.structure(s)
 		for t := 0; t < base.Trials; t++ {
 			t := t
-			id := soakJobID(s, t)
-			src.IDs = append(src.IDs, id)
-			src.runs[id] = func(jctx context.Context) (json.RawMessage, error) {
-				res, err := runSoakJobBody(jctx, sh, ss, t)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(res)
-			}
+			src.add(soakJobID(s, t), sourceJob{
+				run: func(jctx context.Context) (json.RawMessage, error) {
+					res, err := runSoakJobBody(jctx, sh, ss, t)
+					if err != nil {
+						return nil, err
+					}
+					return json.Marshal(res)
+				},
+				setup:    KindSoak,
+				cacheKey: func() (resultcache.Key, error) { return soakCacheKey(base, ss.structure, t) },
+				handOut:  func() { sh.want(ss, t) },
+			})
 		}
 	}
 	return src, nil
@@ -278,16 +311,16 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 // report of this soak source into per-structure reports and the
 // campaign status.
 func (s *JobSource) AssembleSoak(raw *campaign.Report[json.RawMessage]) ([]*SoakReport, *CampaignStatus, error) {
-	if s.Kind != KindSoak {
-		return nil, nil, fmt.Errorf("experiments: AssembleSoak on a %s source", s.Kind)
+	if s.Spec.Kind != KindSoak {
+		return nil, nil, fmt.Errorf("experiments: AssembleSoak on a %s source", s.Spec.Kind)
 	}
 	rep, err := campaign.DecodeReport[soakTrialResult](raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	base := *s.SoakOpts
-	reports := make([]*SoakReport, len(s.SoakStructures))
-	for i, st := range s.SoakStructures {
+	base := *s.Spec.Soak
+	reports := make([]*SoakReport, len(s.structures))
+	for i, st := range s.structures {
 		trials := make([]soakTrialResult, 0, base.Trials)
 		for t := 0; t < base.Trials; t++ {
 			if r, ok := rep.Results[soakJobID(st, t)]; ok && r.Status == campaign.StatusDone {

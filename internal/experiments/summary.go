@@ -3,8 +3,6 @@ package experiments
 import (
 	"encoding/json"
 	"io"
-
-	"ftspm/internal/core"
 )
 
 // Summary is the machine-readable result of a sweep: the headline
@@ -160,14 +158,4 @@ func (s *Summary) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// StructureNames maps the serialized structure strings back to
-// Structure values (for consumers of the JSON).
-func StructureNames() map[string]core.Structure {
-	out := make(map[string]core.Structure)
-	for _, s := range core.AllStructures() {
-		out[s.String()] = s
-	}
-	return out
 }

@@ -368,23 +368,13 @@ func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.
 // requestFor builds the wire request template for one source; the
 // worker loops fill in JobIDs per chunk.
 func requestFor(src *experiments.JobSource, cfg Config) wire.Request {
-	req := wire.Request{
-		Kind:         src.Kind,
+	return wire.Request{
+		CampaignSpec: src.Spec,
 		ConfigHash:   src.Hash,
 		Parallel:     cfg.Parallel,
 		Retries:      cfg.Retries,
 		JobTimeoutMS: cfg.JobTimeout.Milliseconds(),
 	}
-	switch src.Kind {
-	case experiments.KindSweep:
-		req.Sweep = src.SweepOpts
-	case experiments.KindSoak:
-		req.Soak = src.SoakOpts
-		for _, s := range src.SoakStructures {
-			req.Structures = append(req.Structures, s.String())
-		}
-	}
-	return req
 }
 
 // chunkSize picks the placement granularity: explicit, or enough chunks

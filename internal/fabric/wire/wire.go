@@ -5,37 +5,29 @@
 // neither imports the other.
 //
 // The protocol is deliberately thin. The coordinator never ships job
-// code — it ships the campaign options plus a list of job IDs, and the
-// worker re-derives the same experiments.JobSource locally. The
-// config hash pins both sides to the same derivation: a worker whose
-// source hashes differently (version skew, diverging defaults) refuses
-// the chunk with 409 instead of silently computing different results.
+// code — it ships the campaign's experiments.CampaignSpec plus a list
+// of job IDs, and the worker re-derives the same experiments.JobSource
+// locally (CampaignSpec.Source). The config hash pins both sides to
+// the same derivation: a worker whose source hashes differently
+// (version skew, diverging defaults) refuses the chunk with 409
+// instead of silently computing different results.
 package wire
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"ftspm/internal/campaign"
-	"ftspm/internal/core"
 	"ftspm/internal/experiments"
 )
 
 // Request is the body of POST /v1/fabric: one chunk of a campaign's
 // job list, to be executed and streamed back line by line.
 type Request struct {
-	// Kind selects the campaign family: experiments.KindSweep or
-	// experiments.KindSoak.
-	Kind string `json:"kind"`
-	// Sweep holds the normalized sweep options (kind "sweep").
-	Sweep *experiments.Options `json:"sweep,omitempty"`
-	// Soak holds the normalized soak base options, and Structures the
-	// soaked structures by their canonical core.Structure.String()
-	// names (kind "soak").
-	Soak       *experiments.SoakOptions `json:"soak,omitempty"`
-	Structures []string                 `json:"structures,omitempty"`
+	// CampaignSpec describes the campaign; its fields sit at the top
+	// level of the JSON body.
+	experiments.CampaignSpec
 	// ConfigHash is the coordinator's campaign config hash. The worker
-	// re-derives its own from the options above and answers 409 on
+	// re-derives its own from the spec above and answers 409 on
 	// mismatch.
 	ConfigHash string `json:"config_hash"`
 	// JobIDs lists the jobs of this chunk, a subset of the campaign's
@@ -85,42 +77,4 @@ type Trailer struct {
 	// the chunk mid-run); jobs missing from the stream are re-queued by
 	// the coordinator either way.
 	Error string `json:"error,omitempty"`
-}
-
-// ParseStructure resolves a canonical core.Structure.String() name.
-func ParseStructure(name string) (core.Structure, error) {
-	for _, s := range core.AllStructures() {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: %q", core.ErrUnknownStructure, name)
-}
-
-// Source re-derives the request's campaign job source. Both sides use
-// it: the coordinator to build the job list it shards, the worker to
-// rebuild — and hash-check — the same source from the wire options.
-func (r Request) Source() (*experiments.JobSource, error) {
-	switch r.Kind {
-	case experiments.KindSweep:
-		if r.Sweep == nil {
-			return nil, fmt.Errorf("wire: sweep request without sweep options")
-		}
-		return experiments.SweepSource(*r.Sweep)
-	case experiments.KindSoak:
-		if r.Soak == nil {
-			return nil, fmt.Errorf("wire: soak request without soak options")
-		}
-		structures := make([]core.Structure, len(r.Structures))
-		for i, name := range r.Structures {
-			s, err := ParseStructure(name)
-			if err != nil {
-				return nil, fmt.Errorf("wire: %w", err)
-			}
-			structures[i] = s
-		}
-		return experiments.SoakSource(*r.Soak, structures)
-	default:
-		return nil, fmt.Errorf("wire: unknown campaign kind %q", r.Kind)
-	}
 }

@@ -357,15 +357,13 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // single path component, no separators or dot-traversal.
 var checkpointName = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]*$`)
 
-// resolveCheckpoint picks the job's journal file name.
-func resolveCheckpoint(requested, jobDefault string) (string, error) {
-	if requested == "" {
-		return jobDefault, nil
+// checkCheckpoint rejects a client-chosen checkpoint name that is not
+// a single safe path component. "" (the job's default name) passes.
+func checkCheckpoint(name string) error {
+	if name != "" && (!checkpointName.MatchString(name) || name == "." || name == "..") {
+		return fmt.Errorf("invalid checkpoint name %q (single path component, [A-Za-z0-9._-])", name)
 	}
-	if !checkpointName.MatchString(requested) || requested == "." || requested == ".." {
-		return "", fmt.Errorf("invalid checkpoint name %q (single path component, [A-Za-z0-9._-])", requested)
-	}
-	return requested, nil
+	return nil
 }
 
 // config checks the block and returns the campaign config it asks for,
@@ -374,6 +372,9 @@ func resolveCheckpoint(requested, jobDefault string) (string, error) {
 func (c CampaignRequest) config(cache *resultcache.Cache) (experiments.CampaignConfig, error) {
 	if c.Resume && c.Checkpoint == "" {
 		return experiments.CampaignConfig{}, errors.New("resume requires a named checkpoint")
+	}
+	if err := checkCheckpoint(c.Checkpoint); err != nil {
+		return experiments.CampaignConfig{}, err
 	}
 	return experiments.CampaignConfig{
 		Resume:     c.Resume,
@@ -403,7 +404,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if opts.Scale == 0 {
 		opts.Scale = s.cfg.DefaultScale
 	}
-	s.submitJob(w, "sweep", req.Checkpoint, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
+	s.submitJob(w, "sweep", req.Checkpoint, false, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
 		cc.Checkpoint = ckptPath
 		sw, status, runErr := experiments.RunSweepOn(ctx, opts, cc.RunLocal)
 		if sw == nil {
@@ -466,10 +467,7 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Recovery = &rec
 	}
-	if req.Storm != nil {
-		s.stormJobs.Add(1)
-	}
-	s.submitJob(w, "soak", req.Checkpoint, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
+	s.submitJob(w, "soak", req.Checkpoint, req.Storm != nil, func(ctx context.Context, ckptPath string) (json.RawMessage, error) {
 		cc.Checkpoint = ckptPath
 		reports, status, runErr := experiments.RunSoakOn(ctx, opts, structures, cc.RunLocal)
 		if reports == nil {
@@ -488,12 +486,14 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitJob is the shared async-submit path: admission, registration,
-// and the worker goroutine. fn receives the job context (canceled by
-// client cancel or server drain — either way the campaign drains
-// in-flight sim jobs, journals them, and returns wrapping
-// campaign.ErrIncomplete) and may return a salvaged payload alongside a
-// non-nil error.
-func (s *Server) submitJob(w http.ResponseWriter, kind, requestedCkpt string,
+// and the worker goroutine. ckpt was checked by CampaignRequest.config;
+// "" names the journal after the job. A storm soak counts toward the
+// /healthz storm jobs once it is registered. fn receives the job
+// context (canceled by client cancel or server drain — either way the
+// campaign drains in-flight sim jobs, journals them, and returns
+// wrapping campaign.ErrIncomplete) and may return a salvaged payload
+// alongside a non-nil error.
+func (s *Server) submitJob(w http.ResponseWriter, kind, ckpt string, storm bool,
 	fn func(ctx context.Context, ckptPath string) (json.RawMessage, error)) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "server draining", s.cfg.RetryAfter)
@@ -506,15 +506,12 @@ func (s *Server) submitJob(w http.ResponseWriter, kind, requestedCkpt string,
 			s.campLim.retryAfter(s.cfg.RetryAfter))
 		return
 	}
-	now := s.nowFn()
-	// Reserve the ID first so the default checkpoint can embed it.
-	j := s.jobs.create(kind, "", now)
-	ckpt, err := resolveCheckpoint(requestedCkpt, j.id+".ckpt")
-	if err != nil {
-		j.finish(s.nowFn(), JobFailed, err.Error(), nil, false)
-		sl.release()
-		writeError(w, http.StatusBadRequest, err.Error(), 0)
-		return
+	j := s.jobs.create(kind, "", s.nowFn())
+	if storm {
+		s.stormJobs.Add(1)
+	}
+	if ckpt == "" {
+		ckpt = j.id + ".ckpt"
 	}
 	j.checkpoint = ckpt
 	jctx, cancel := context.WithCancelCause(s.baseCtx)

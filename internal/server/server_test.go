@@ -477,21 +477,59 @@ func TestSoakLanesOutOfRange(t *testing.T) {
 	}
 }
 
-func TestResolveCheckpoint(t *testing.T) {
-	good := []string{"run1.ckpt", "a-b_c.d", "X9"}
-	for _, name := range good {
-		got, err := resolveCheckpoint(name, "def")
-		if err != nil || got != name {
-			t.Errorf("resolveCheckpoint(%q) = %q, %v; want accepted", name, got, err)
+func TestCheckCheckpoint(t *testing.T) {
+	for _, name := range []string{"run1.ckpt", "a-b_c.d", "X9", ""} {
+		if err := checkCheckpoint(name); err != nil {
+			t.Errorf("checkCheckpoint(%q) = %v; want accepted", name, err)
 		}
 	}
-	bad := []string{"../evil", "a/b", `a\b`, ".", "..", ".hidden", "-dash", ""}
-	for _, name := range bad[:len(bad)-1] {
-		if _, err := resolveCheckpoint(name, "def"); err == nil {
-			t.Errorf("resolveCheckpoint(%q): want rejection", name)
+	for _, name := range []string{"../evil", "a/b", `a\b`, ".", "..", ".hidden", "-dash"} {
+		if err := checkCheckpoint(name); err == nil {
+			t.Errorf("checkCheckpoint(%q): want rejection", name)
 		}
 	}
-	if got, err := resolveCheckpoint("", "fallback"); err != nil || got != "fallback" {
-		t.Errorf("empty checkpoint: got %q, %v; want fallback", got, err)
+}
+
+// A campaign with a bad checkpoint name is refused before it is
+// registered: no failed job is left behind and no job ID is used up.
+func TestBadCheckpointRegistersNoJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/soak", `{"trials":1,"scale":0.01,"checkpoint":"a/b"}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid checkpoint name") {
+		t.Fatalf("bad checkpoint: code %d, want 400 naming it\n%s", resp.StatusCode, body)
+	}
+	var jobs JobList
+	getJSON(t, ts.URL+"/v1/jobs", &jobs)
+	if len(jobs.Jobs) != 0 {
+		t.Fatalf("refused soak left %d jobs, the first %+v", len(jobs.Jobs), jobs.Jobs[0])
+	}
+	resp, body = postJSON(t, ts.URL+"/v1/soak", `{"trials":1,"scale":0.01}`)
+	var st JobStatus
+	if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("valid soak: code %d, want 202\n%s", resp.StatusCode, body)
+	}
+	if st.ID != "soak-000001" {
+		t.Errorf("first registered job is %q, want soak-000001", st.ID)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// /healthz counts a storm soak only once it is registered: one refused
+// while draining is not served in storm mode.
+func TestRefusedStormSoakNotCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/soak", `{"trials":1,"scale":0.01,"storm":{"storm_strikes_per_access":0.25}}`)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("storm soak while draining: code %d, want 503\n%s", resp.StatusCode, body)
+	}
+	var hs HealthStatus
+	getJSON(t, ts.URL+"/healthz", &hs)
+	if hs.Storm == nil || hs.Storm.Jobs != 0 {
+		t.Fatalf("healthz storm block %+v after a refused storm soak, want 0 jobs", hs.Storm)
 	}
 }
