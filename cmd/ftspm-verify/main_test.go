@@ -18,22 +18,23 @@ import (
 func writeJournal(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "soak.ckpt")
-	jl, _, err := campaign.OpenJournal(path, "cafe", false)
+	ids := []string{"job/00", "job/01"}
+	led, err := campaign.OpenLedger(path, "cafe", false, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"job/00", "job/01"} {
-		if err := jl.Append(campaign.Result[json.RawMessage]{
+	for _, id := range ids {
+		if _, err := led.Add(campaign.Result[json.RawMessage]{
 			ID: id, Status: campaign.StatusDone, Attempts: 1,
 			Value: json.RawMessage(`{"metric":7}`),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := jl.Invalidate("job/01"); err != nil {
+	if err := led.Revoke("job/01"); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Close(); err != nil {
+	if _, err := led.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -21,16 +21,16 @@ func TestCancelMidBackoffAbortsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	attempted := make(chan struct{})
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID: "mid-backoff",
-		Run: func(context.Context) (int, error) {
+		Run: jsonRun(func(context.Context) (int, error) {
 			close(attempted) // first attempt fails; worker enters backoff
 			return 0, errors.New("transient")
-		},
+		}),
 	}}
 
 	done := make(chan struct{})
-	var rep *Report[int]
+	var rep *Report
 	var err error
 	go func() {
 		defer close(done)

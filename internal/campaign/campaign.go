@@ -4,16 +4,19 @@
 // budget, an append-only JSONL checkpoint for resumable runs, and
 // graceful drain on cancellation.
 //
-// The sweep (experiments.RunSweepOn) and soak (experiments.RunSoakOn)
-// engines are both built on it. The contract that makes interrupted
-// campaigns cheap instead of fatal:
+// Jobs return their results as raw JSON, exactly the bytes the
+// checkpoint journals; the sweep and soak job sources in
+// internal/experiments build them, and decode the finished values when
+// they assemble their reports. Both executors — Run here, and the
+// distributed fabric coordinator — record finished jobs through one
+// Ledger. The contract that makes interrupted campaigns cheap instead
+// of fatal:
 //
 //   - Every job has a deterministic ID. A finished job — completed or
 //     failed-permanent — is journaled to the checkpoint with its
-//     JSON-encoded result, and a resumed run skips it, so the final
-//     report of an interrupted-then-resumed campaign is byte-identical
-//     to an uninterrupted one (results round-trip exactly through
-//     encoding/json).
+//     result before it counts, and a resumed run skips it, so the
+//     final report of an interrupted-then-resumed campaign is
+//     byte-identical to an uninterrupted one.
 //   - A worker panic is recovered into a per-job error carrying the
 //     stack; the poisoned job fails alone while the campaign completes.
 //   - Cancelling the context (e.g. SIGINT/SIGTERM via SignalContext)
@@ -52,17 +55,18 @@ const (
 
 // Job is one unit of work. Run receives a context carrying only the
 // per-job deadline (never the campaign's cancellation: graceful drain
-// lets in-flight jobs finish), and should return a JSON-serializable
-// result when the campaign is checkpointed.
-type Job[R any] struct {
+// lets in-flight jobs finish), and returns its result as JSON.
+type Job struct {
 	// ID is the job's deterministic identity; it keys the checkpoint,
 	// so it must be stable across runs and unique within the campaign.
 	ID string
 	// Run executes the job.
-	Run func(ctx context.Context) (R, error)
+	Run func(ctx context.Context) (json.RawMessage, error)
 }
 
 // Result is one finished job: the journal record and the report entry.
+// Every campaign runs with R = json.RawMessage; the type parameter
+// remains only because the benchmark harness spells that type out.
 type Result[R any] struct {
 	ID       string `json:"id"`
 	Status   Status `json:"status"`
@@ -103,19 +107,17 @@ type Config struct {
 	CheckpointPath string
 	// Resume loads CheckpointPath and skips journaled jobs. The
 	// journal's config hash must match ConfigHash — a mismatch is a
-	// hard error, never silent reuse.
+	// hard error, never silent reuse. Resume without CheckpointPath
+	// is a usage error.
 	Resume bool
 	// ConfigHash fingerprints the campaign configuration (see
 	// HashJSON); required when CheckpointPath is set.
 	ConfigHash string
-	// OnJobDone, when non-nil, observes every finished job after it is
-	// journaled (called from the collector, never concurrently).
-	OnJobDone func(id string, status Status)
-	// OnJobResult, when non-nil, observes every finished job's full
-	// result in journal form (value encoded as JSON) after it is
-	// journaled — live results only; resumed ones are already in the
-	// caller's hands. Called from the collector, never concurrently.
-	// This is the seam the fabric worker endpoint streams from.
+	// OnJobResult, when non-nil, observes every finished job's result
+	// after it is journaled — live results only; resumed ones are
+	// already in the caller's hands. Called from the collector, never
+	// concurrently. This is the seam the fabric worker endpoint streams
+	// from.
 	OnJobResult func(Result[json.RawMessage])
 }
 
@@ -139,16 +141,16 @@ func (c Config) normalize(jobs int) Config {
 }
 
 // Report aggregates a campaign run.
-type Report[R any] struct {
+type Report struct {
 	// Results holds every finished job by ID — executed this run or
 	// loaded from the checkpoint.
-	Results map[string]Result[R]
+	Results map[string]Result[json.RawMessage]
 	// Completed and Failed count finished jobs by status (resumed ones
 	// included); Resumed counts the subset loaded from the checkpoint.
 	Completed, Failed, Resumed int
-	// PendingIDs lists jobs never finished because the campaign was
-	// cancelled mid-flight, in dispatch order. Pending jobs are not
-	// journaled, so a resumed run retries them.
+	// PendingIDs lists the jobs without a recorded result, in dispatch
+	// order: the campaign was drained before they finished, or their
+	// result could not be journaled. A resumed run retries them.
 	PendingIDs []string
 	// Audit summarizes the integrity audit pass of executors that
 	// re-execute a fraction of finished jobs (the distributed fabric);
@@ -188,7 +190,7 @@ type AuditDivergence struct {
 
 // Incomplete reports whether the campaign was drained before every job
 // finished.
-func (r *Report[R]) Incomplete() bool { return len(r.PendingIDs) > 0 }
+func (r *Report) Incomplete() bool { return len(r.PendingIDs) > 0 }
 
 // Errors returned by Run.
 var (
@@ -210,51 +212,31 @@ type panicError struct {
 func (e *panicError) Error() string { return "panic: " + e.value }
 
 // Run executes the campaign: resumable, panic-isolated, deadline- and
-// retry-bounded, gracefully drained on ctx cancellation. Job failures
-// are reported per-job in the Report, never as a Run error; Run's error
-// reports setup problems (checkpoint, duplicate IDs) or — wrapping
-// ErrIncomplete and the context error — an early drain. The Report is
-// non-nil whenever jobs started, so callers can salvage partial
-// results alongside a non-nil error.
-func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Report[R], error) {
+// retry-bounded, gracefully drained on ctx cancellation. Finished jobs
+// are recorded through a Ledger. Job failures are reported per-job in
+// the Report, never as a Run error; Run's error reports setup problems
+// (checkpoint, duplicate IDs), a failed checkpoint append, or —
+// wrapping ErrIncomplete and the context error — an early drain. The
+// Report is non-nil whenever jobs started, so callers can salvage
+// partial results alongside a non-nil error.
+func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 	cfg = cfg.normalize(len(jobs))
+	ids := make([]string, len(jobs))
 	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
+	for i, j := range jobs {
 		if seen[j.ID] {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateJob, j.ID)
 		}
 		seen[j.ID] = true
+		ids[i] = j.ID
 	}
-
-	rep := &Report[R]{Results: make(map[string]Result[R], len(jobs))}
-	var jl *journal
-	if cfg.CheckpointPath != "" {
-		var err error
-		var done map[string]Result[R]
-		jl, done, err = openCheckpoint[R](cfg.CheckpointPath, cfg.ConfigHash, cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer jl.Close()
-		for id, r := range done {
-			if !seen[id] {
-				continue // journal entries for jobs not in this campaign
-			}
-			r.Resumed = true
-			rep.Results[id] = r
-			rep.Resumed++
-			switch r.Status {
-			case StatusFailed:
-				rep.Failed++
-			default:
-				rep.Completed++
-			}
-		}
+	led, err := OpenLedger(cfg.CheckpointPath, cfg.ConfigHash, cfg.Resume, ids)
+	if err != nil {
+		return nil, err
 	}
-
-	pending := make([]Job[R], 0, len(jobs))
+	pending := make([]Job, 0, len(jobs))
 	for _, j := range jobs {
-		if _, ok := rep.Results[j.ID]; !ok {
+		if _, ok := led.Result(j.ID); !ok {
 			pending = append(pending, j)
 		}
 	}
@@ -263,10 +245,10 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Report[R], err
 	// abandoned=true when the drain interrupted it between retry
 	// attempts (such jobs stay pending and are not journaled).
 	type outcome struct {
-		res       Result[R]
+		res       Result[json.RawMessage]
 		abandoned bool
 	}
-	jobCh := make(chan Job[R])
+	jobCh := make(chan Job)
 	outCh := make(chan outcome)
 	var wg sync.WaitGroup
 	for n := 0; n < cfg.Workers; n++ {
@@ -284,87 +266,38 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Report[R], err
 		close(outCh)
 	}()
 
-	// The dispatcher stops at ctx cancellation; undispatched job IDs
-	// are reported as pending.
-	undispatched := make(chan []string, 1)
+	// The dispatcher stops at ctx cancellation; the ledger reports the
+	// undispatched jobs as pending.
 	go func() {
 		defer close(jobCh)
-		abort := func(i int) {
-			ids := make([]string, 0, len(pending)-i)
-			for _, p := range pending[i:] {
-				ids = append(ids, p.ID)
-			}
-			undispatched <- ids
-		}
-		for i, j := range pending {
+		for _, j := range pending {
 			if ctx.Err() != nil {
-				abort(i)
 				return
 			}
 			select {
 			case jobCh <- j:
 			case <-ctx.Done():
-				abort(i)
 				return
 			}
 		}
-		undispatched <- nil
 	}()
 
-	// Collector: journal each finished job (write-fsync before it
-	// counts), then account for it. A journal append failure means the
-	// result was never durably recorded: the job is reported pending —
-	// not completed — so callers (and resumed runs) re-run it instead of
-	// silently trusting a result that would vanish with the process.
-	var journalErr error
+	// Collector: a result the ledger could not make durable stays
+	// pending, so callers (and resumed runs) re-run it instead of
+	// trusting a result that would vanish with the process; Close
+	// reports the failed append.
 	for out := range outCh {
 		if out.abandoned {
-			rep.PendingIDs = append(rep.PendingIDs, out.res.ID)
 			continue
 		}
-		// Encode for the observer before accounting: a result that
-		// cannot round-trip through JSON is as unusable to the caller as
-		// one that failed to journal, so it is reported pending too.
-		var raw Result[json.RawMessage]
-		var rawErr error
-		if cfg.OnJobResult != nil {
-			raw, rawErr = rawResult(out.res)
-		}
-		if jl != nil {
-			if journalErr == nil {
-				journalErr = jl.Append(out.res)
-			}
-			if journalErr != nil {
-				rep.PendingIDs = append(rep.PendingIDs, out.res.ID)
-				continue
-			}
-		}
-		if rawErr != nil {
-			rep.PendingIDs = append(rep.PendingIDs, out.res.ID)
-			continue
-		}
-		rep.Results[out.res.ID] = out.res
-		if out.res.Status == StatusFailed {
-			rep.Failed++
-		} else {
-			rep.Completed++
-		}
-		if cfg.OnJobDone != nil {
-			cfg.OnJobDone(out.res.ID, out.res.Status)
-		}
-		if cfg.OnJobResult != nil {
-			cfg.OnJobResult(raw)
+		if ok, _ := led.Add(out.res); ok && cfg.OnJobResult != nil {
+			cfg.OnJobResult(out.res)
 		}
 	}
-	rep.PendingIDs = append(rep.PendingIDs, <-undispatched...)
 
-	if journalErr != nil {
-		return rep, fmt.Errorf("campaign: checkpoint: %w", journalErr)
-	}
-	if jl != nil {
-		if err := jl.Close(); err != nil {
-			return rep, fmt.Errorf("campaign: checkpoint: %w", err)
-		}
+	rep, err := led.Close()
+	if err != nil {
+		return rep, fmt.Errorf("campaign: %w", err)
 	}
 	if len(rep.PendingIDs) > 0 {
 		return rep, fmt.Errorf("%w: %d of %d jobs not run: %w",
@@ -376,8 +309,8 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Report[R], err
 // runJob executes one job through its attempt budget. The returned
 // abandoned flag is true when ctx was cancelled between attempts: the
 // job is neither done nor failed-permanent and must stay pending.
-func runJob[R any](ctx context.Context, cfg Config, job Job[R]) (Result[R], bool) {
-	res := Result[R]{ID: job.ID}
+func runJob(ctx context.Context, cfg Config, job Job) (Result[json.RawMessage], bool) {
+	res := Result[json.RawMessage]{ID: job.ID}
 	backoff := cfg.Backoff
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
@@ -407,7 +340,7 @@ func runJob[R any](ctx context.Context, cfg Config, job Job[R]) (Result[R], bool
 
 // runAttempt runs a single attempt under the per-job deadline with
 // panic isolation.
-func runAttempt[R any](cfg Config, job Job[R]) (v R, err error) {
+func runAttempt(cfg Config, job Job) (v json.RawMessage, err error) {
 	// The job context is detached from the campaign context on
 	// purpose: graceful drain means in-flight jobs run to completion.
 	jctx := context.Background()
@@ -422,55 +355,6 @@ func runAttempt[R any](cfg Config, job Job[R]) (v R, err error) {
 		}
 	}()
 	return job.Run(jctx)
-}
-
-// rawResult re-encodes a typed result into journal form: the value as
-// its JSON encoding, every other field unchanged.
-func rawResult[R any](r Result[R]) (Result[json.RawMessage], error) {
-	var raw json.RawMessage
-	if r.Status == StatusDone {
-		b, err := json.Marshal(r.Value)
-		if err != nil {
-			return Result[json.RawMessage]{}, fmt.Errorf("campaign: encode result %s: %w", r.ID, err)
-		}
-		raw = b
-	}
-	return Result[json.RawMessage]{
-		ID: r.ID, Status: r.Status, Attempts: r.Attempts,
-		Value: raw, Err: r.Err, Stack: r.Stack,
-		Resumed: r.Resumed, Cause: r.Cause,
-	}, nil
-}
-
-// DecodeReport converts a raw-JSON-typed report (the form external
-// executors produce over OpenJournal's record format) into a typed one:
-// done values are decoded, failed and pending entries carry their
-// metadata unchanged. This is the same JSON round-trip a checkpoint
-// resume performs, so a decoded report aggregates byte-identically to
-// a natively-typed one.
-func DecodeReport[R any](raw *Report[json.RawMessage]) (*Report[R], error) {
-	rep := &Report[R]{
-		Results:    make(map[string]Result[R], len(raw.Results)),
-		Completed:  raw.Completed,
-		Failed:     raw.Failed,
-		Resumed:    raw.Resumed,
-		PendingIDs: raw.PendingIDs,
-		Audit:      raw.Audit,
-	}
-	for id, r := range raw.Results {
-		var v R
-		if r.Status == StatusDone && len(r.Value) > 0 {
-			if err := json.Unmarshal(r.Value, &v); err != nil {
-				return nil, fmt.Errorf("campaign: decode result %s: %w", id, err)
-			}
-		}
-		rep.Results[id] = Result[R]{
-			ID: r.ID, Status: r.Status, Attempts: r.Attempts,
-			Value: v, Err: r.Err, Stack: r.Stack,
-			Resumed: r.Resumed, Cause: r.Cause,
-		}
-	}
-	return rep, nil
 }
 
 // sleep waits d or until ctx is cancelled; it reports whether the full

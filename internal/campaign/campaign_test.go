@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -11,14 +12,36 @@ import (
 	"time"
 )
 
+// jsonRun adapts a typed job body to a Job runner, marshaling its
+// value as the experiments job sources marshal theirs.
+func jsonRun[R any](run func(context.Context) (R, error)) func(context.Context) (json.RawMessage, error) {
+	return func(ctx context.Context) (json.RawMessage, error) {
+		v, err := run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(v)
+	}
+}
+
+// decode returns the decoded value of a done result.
+func decode[R any](t *testing.T, r Result[json.RawMessage]) R {
+	t.Helper()
+	var v R
+	if err := json.Unmarshal(r.Value, &v); err != nil {
+		t.Fatalf("decode %s value %q: %v", r.ID, r.Value, err)
+	}
+	return v
+}
+
 // sumJobs builds n jobs returning their own index.
-func sumJobs(n int) []Job[int] {
-	jobs := make([]Job[int], n)
+func sumJobs(n int) []Job {
+	jobs := make([]Job, n)
 	for i := 0; i < n; i++ {
 		i := i
-		jobs[i] = Job[int]{
+		jobs[i] = Job{
 			ID:  fmt.Sprintf("job/%02d", i),
-			Run: func(context.Context) (int, error) { return i, nil },
+			Run: jsonRun(func(context.Context) (int, error) { return i, nil }),
 		}
 	}
 	return jobs
@@ -34,7 +57,7 @@ func TestRunCompletesAllJobs(t *testing.T) {
 	}
 	for i := 0; i < 17; i++ {
 		r, ok := rep.Results[fmt.Sprintf("job/%02d", i)]
-		if !ok || r.Value != i || r.Status != StatusDone || r.Attempts != 1 {
+		if !ok || r.Status != StatusDone || decode[int](t, r) != i || r.Attempts != 1 {
 			t.Fatalf("job %d result: %+v (ok=%v)", i, r, ok)
 		}
 	}
@@ -42,7 +65,7 @@ func TestRunCompletesAllJobs(t *testing.T) {
 
 func TestPanicIsolatedToOneJob(t *testing.T) {
 	jobs := sumJobs(8)
-	jobs[3].Run = func(context.Context) (int, error) { panic("poisoned job") }
+	jobs[3].Run = jsonRun(func(context.Context) (int, error) { panic("poisoned job") })
 	rep, err := Run(context.Background(), Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -67,33 +90,33 @@ func TestPanicIsolatedToOneJob(t *testing.T) {
 
 func TestRetryWithBackoffEventuallySucceeds(t *testing.T) {
 	var tries atomic.Int32
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID: "flaky",
-		Run: func(context.Context) (int, error) {
+		Run: jsonRun(func(context.Context) (int, error) {
 			if tries.Add(1) < 3 {
 				return 0, errors.New("transient")
 			}
 			return 42, nil
-		},
+		}),
 	}}
 	rep, err := Run(context.Background(), Config{Attempts: 5, Backoff: time.Millisecond}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rep.Results["flaky"]
-	if r.Status != StatusDone || r.Value != 42 || r.Attempts != 3 {
+	if r.Status != StatusDone || decode[int](t, r) != 42 || r.Attempts != 3 {
 		t.Fatalf("flaky result: %+v", r)
 	}
 }
 
 func TestRetryBudgetExhaustedIsFailedPermanent(t *testing.T) {
 	var tries atomic.Int32
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID: "doomed",
-		Run: func(context.Context) (int, error) {
+		Run: jsonRun(func(context.Context) (int, error) {
 			tries.Add(1)
 			return 0, errors.New("always broken")
-		},
+		}),
 	}}
 	rep, err := Run(context.Background(), Config{Attempts: 3, Backoff: time.Millisecond}, jobs)
 	if err != nil {
@@ -106,12 +129,12 @@ func TestRetryBudgetExhaustedIsFailedPermanent(t *testing.T) {
 }
 
 func TestJobDeadline(t *testing.T) {
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID: "slow",
-		Run: func(ctx context.Context) (int, error) {
+		Run: jsonRun(func(ctx context.Context) (int, error) {
 			<-ctx.Done() // a well-behaved job observes its deadline
 			return 0, ctx.Err()
-		},
+		}),
 	}}
 	start := time.Now()
 	rep, err := Run(context.Background(), Config{JobTimeout: 20 * time.Millisecond}, jobs)
@@ -132,8 +155,8 @@ func TestGracefulDrainFinishesInFlightJobs(t *testing.T) {
 	// One worker: cancel as soon as the first job finishes; the rest
 	// stay pending.
 	cfg := Config{
-		Workers:   1,
-		OnJobDone: func(string, Status) { cancel() },
+		Workers:     1,
+		OnJobResult: func(Result[json.RawMessage]) { cancel() },
 	}
 	rep, err := Run(ctx, cfg, sumJobs(6))
 	if !errors.Is(err, ErrIncomplete) {
@@ -155,12 +178,12 @@ func TestGracefulDrainFinishesInFlightJobs(t *testing.T) {
 
 func TestDrainAbandonsJobBetweenRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID: "retrying",
-		Run: func(context.Context) (int, error) {
+		Run: jsonRun(func(context.Context) (int, error) {
 			cancel() // fail after cancelling: the backoff sleep must abort
 			return 0, errors.New("transient")
-		},
+		}),
 	}}
 	rep, err := Run(ctx, Config{Attempts: 10, Backoff: time.Hour}, jobs)
 	if !errors.Is(err, ErrIncomplete) {
@@ -187,11 +210,11 @@ func TestCheckpointResumeSkipsFinishedJobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	const hash = "cfg-v1"
 	var ran atomic.Int32
-	mkJobs := func() []Job[int] {
+	mkJobs := func() []Job {
 		jobs := sumJobs(10)
 		for i := range jobs {
 			inner := jobs[i].Run
-			jobs[i].Run = func(ctx context.Context) (int, error) {
+			jobs[i].Run = func(ctx context.Context) (json.RawMessage, error) {
 				ran.Add(1)
 				return inner(ctx)
 			}
@@ -206,7 +229,7 @@ func TestCheckpointResumeSkipsFinishedJobs(t *testing.T) {
 		Workers:        1,
 		CheckpointPath: path,
 		ConfigHash:     hash,
-		OnJobDone: func(string, Status) {
+		OnJobResult: func(Result[json.RawMessage]) {
 			if finished.Add(1) == 4 {
 				cancel()
 			}
@@ -235,24 +258,24 @@ func TestCheckpointResumeSkipsFinishedJobs(t *testing.T) {
 		t.Fatalf("resume report: %+v", rep2)
 	}
 	for i := 0; i < 10; i++ {
-		if r := rep2.Results[fmt.Sprintf("job/%02d", i)]; r.Value != i {
-			t.Errorf("job %d value %d after resume", i, r.Value)
+		if v := decode[int](t, rep2.Results[fmt.Sprintf("job/%02d", i)]); v != i {
+			t.Errorf("job %d value %d after resume", i, v)
 		}
 	}
 }
 
 func TestResumedFailedPermanentIsNotRetried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	jobs := []Job[int]{{
+	jobs := []Job{{
 		ID:  "broken",
-		Run: func(context.Context) (int, error) { return 0, errors.New("permanent") },
+		Run: jsonRun(func(context.Context) (int, error) { return 0, errors.New("permanent") }),
 	}}
 	cfg := Config{CheckpointPath: path, ConfigHash: "h"}
 	if _, err := Run(context.Background(), cfg, jobs); err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Int32
-	jobs[0].Run = func(context.Context) (int, error) { ran.Add(1); return 1, nil }
+	jobs[0].Run = jsonRun(func(context.Context) (int, error) { ran.Add(1); return 1, nil })
 	cfg.Resume = true
 	rep, err := Run(context.Background(), cfg, jobs)
 	if err != nil {

@@ -103,11 +103,13 @@ func SumResult(r Result[json.RawMessage]) (sum string, encoded []byte, err error
 	return SumBytes(b), b, nil
 }
 
-// journal is the append side of an open checkpoint. version selects the
+// Journal is the append side of an open checkpoint. version selects the
 // record encoding: v2 wraps records in checksum envelopes; a resumed v1
 // file keeps appending bare records so the file stays uniformly
-// parseable.
-type journal struct {
+// parseable. Both executors, Run and the fabric coordinator, record
+// through a Ledger that owns the journal, so a campaign can be
+// interrupted under one executor and resumed under the other.
+type Journal struct {
 	f       *os.File
 	version int
 	closed  bool
@@ -115,19 +117,19 @@ type journal struct {
 
 // appendHook, when non-nil, intercepts journal appends before they are
 // written — the test seam for injecting durable-write (fsync) failures.
-var appendHook func(v any) error
+var appendHook func(r Result[json.RawMessage]) error
 
 // Append journals one finished job: a single JSON line, written in one
 // call and fsynced so the record survives a crash of the very next
-// instruction. The error is the caller's signal that the record is NOT
-// durable: a job whose append failed must be treated as never finished.
-func (j *journal) Append(v any) error {
+// instruction. A non-nil error means the record is NOT durable: the
+// caller must treat the job as never finished.
+func (j *Journal) Append(r Result[json.RawMessage]) error {
 	if appendHook != nil {
-		if err := appendHook(v); err != nil {
+		if err := appendHook(r); err != nil {
 			return err
 		}
 	}
-	rb, err := json.Marshal(v)
+	rb, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
@@ -141,7 +143,7 @@ func (j *journal) Append(v any) error {
 }
 
 // appendLine writes one raw line (no envelope) and fsyncs.
-func (j *journal) appendLine(line []byte) error {
+func (j *Journal) appendLine(line []byte) error {
 	if _, err := j.f.Write(append(line, '\n')); err != nil {
 		return err
 	}
@@ -149,7 +151,7 @@ func (j *journal) appendLine(line []byte) error {
 }
 
 // Close closes the journal; further Appends fail. Safe to call twice.
-func (j *journal) Close() error {
+func (j *Journal) Close() error {
 	if j.closed {
 		return nil
 	}
@@ -157,14 +159,15 @@ func (j *journal) Close() error {
 	return j.f.Close()
 }
 
-// openCheckpoint opens path for journaling. A fresh run creates the
-// file (failing if it already exists); a resume loads the finished
-// records — verifying the config hash and, for v2 journals, every
-// record checksum — truncates any torn trailing line, and reopens for
-// appending in the file's own format version.
-func openCheckpoint[R any](path, hash string, resume bool) (*journal, map[string]Result[R], error) {
+// OpenJournal opens path for journaling. A fresh run creates the file
+// (failing if it already exists); a resume loads the finished records —
+// verifying the config hash and, for v2 journals, every record checksum
+// — truncates any torn trailing line, and reopens for appending in the
+// file's own format version. It returns the journal and the results
+// already finished in it (nil on a fresh run).
+func OpenJournal(path, hash string, resume bool) (*Journal, map[string]Result[json.RawMessage], error) {
 	if resume {
-		return resumeCheckpoint[R](path, hash)
+		return resumeJournal(path, hash)
 	}
 	// O_EXCL alone decides who owns the file: a separate existence
 	// check first would let two fresh runs both pass it, and the loser
@@ -176,7 +179,7 @@ func openCheckpoint[R any](path, hash string, resume bool) (*journal, map[string
 	if err != nil {
 		return nil, nil, err
 	}
-	jl := &journal{f: f, version: journalVersion}
+	jl := &Journal{f: f, version: journalVersion}
 	hdr, err := json.Marshal(journalHeader{V: journalVersion, ConfigHash: hash})
 	if err != nil {
 		f.Close()
@@ -190,7 +193,7 @@ func openCheckpoint[R any](path, hash string, resume bool) (*journal, map[string
 	return jl, nil, nil
 }
 
-func resumeCheckpoint[R any](path, hash string) (*journal, map[string]Result[R], error) {
+func resumeJournal(path, hash string) (*Journal, map[string]Result[json.RawMessage], error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -198,7 +201,7 @@ func resumeCheckpoint[R any](path, hash string) (*journal, map[string]Result[R],
 		}
 		return nil, nil, err
 	}
-	sc, err := parseJournal[R](blob, hash)
+	sc, err := parseJournal(blob, hash)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -216,13 +219,13 @@ func resumeCheckpoint[R any](path, hash string) (*journal, map[string]Result[R],
 		f.Close()
 		return nil, nil, err
 	}
-	return &journal{f: f, version: sc.header.V}, sc.done, nil
+	return &Journal{f: f, version: sc.header.V}, sc.done, nil
 }
 
 // journalScan is one parse of a journal blob.
-type journalScan[R any] struct {
+type journalScan struct {
 	header      journalHeader
-	done        map[string]Result[R]
+	done        map[string]Result[json.RawMessage]
 	validLen    int64
 	records     int
 	invalidated int
@@ -242,8 +245,8 @@ type journalScan[R any] struct {
 // out). In v2 every completed line carries its own CRC32C + SHA-256, so
 // any newline-terminated record that fails to parse or checksum —
 // final or not — is bitrot: a hard error naming the byte offset.
-func parseJournal[R any](blob []byte, hash string) (*journalScan[R], error) {
-	sc := &journalScan[R]{done: make(map[string]Result[R])}
+func parseJournal(blob []byte, hash string) (*journalScan, error) {
+	sc := &journalScan{done: make(map[string]Result[json.RawMessage])}
 	sawHeader := false
 	for len(blob) > 0 {
 		nl := bytes.IndexByte(blob, '\n')
@@ -272,14 +275,16 @@ func parseJournal[R any](blob []byte, hash string) (*journalScan[R], error) {
 			blob = rest
 			continue
 		}
-		var r Result[R]
+		var r Result[json.RawMessage]
 		if sc.header.V >= journalV2 {
-			rr, err := parseRecordV2[R](line)
+			rb, err := UnframeRecord(line)
+			if err == nil && (json.Unmarshal(rb, &r) != nil || r.ID == "") {
+				err = errors.New("checksummed payload is not a result record")
+			}
 			if err != nil {
 				return nil, fmt.Errorf("%w: %w at byte %d: %w",
 					ErrCorruptCheckpoint, ErrJournalBitrot, sc.validLen, err)
 			}
-			r = rr
 		} else {
 			if err := json.Unmarshal(line, &r); err != nil || r.ID == "" {
 				if len(rest) == 0 {
@@ -311,19 +316,6 @@ func parseJournal[R any](blob []byte, hash string) (*journalScan[R], error) {
 		return nil, fmt.Errorf("%w: missing header", ErrCorruptCheckpoint)
 	}
 	return sc, nil
-}
-
-// parseRecordV2 decodes and checksum-verifies one v2 record line.
-func parseRecordV2[R any](line []byte) (Result[R], error) {
-	var r Result[R]
-	rb, err := UnframeRecord(line)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(rb, &r); err != nil || r.ID == "" {
-		return r, errors.New("checksummed payload is not a result record")
-	}
-	return r, nil
 }
 
 // FrameRecord wraps marshaled payload bytes in the v2 self-verifying
@@ -384,7 +376,7 @@ type JournalInfo struct {
 // bitrot (ErrJournalBitrot, with byte offset) from structural damage
 // (ErrCorruptCheckpoint).
 func VerifyJournal(blob []byte) (*JournalInfo, error) {
-	sc, err := parseJournal[json.RawMessage](blob, "")
+	sc, err := parseJournal(blob, "")
 	if err != nil {
 		return nil, err
 	}
@@ -404,44 +396,6 @@ func VerifyJournal(blob []byte) (*JournalInfo, error) {
 	}
 	return info, nil
 }
-
-// Journal is the exported append side of a checkpoint, typed on raw
-// JSON results. It exists for executors outside this package — the
-// distributed fabric coordinator merges remotely-executed results into
-// the very same JSONL journal Run writes locally, so a campaign can be
-// interrupted under one executor and resumed under the other.
-type Journal struct {
-	j *journal
-}
-
-// OpenJournal opens (or, with resume, reloads) the checkpoint at path
-// exactly as Run would: same header, same config-hash verification,
-// same torn-tail truncation and bitrot detection. It returns the
-// journal and the results already finished in it (nil on a fresh run).
-func OpenJournal(path, hash string, resume bool) (*Journal, map[string]Result[json.RawMessage], error) {
-	jl, done, err := openCheckpoint[json.RawMessage](path, hash, resume)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Journal{j: jl}, done, nil
-}
-
-// Append journals one finished job (write + fsync before returning). A
-// non-nil error means the record is not durable: the caller must treat
-// the job as never finished and re-queue it.
-func (j *Journal) Append(r Result[json.RawMessage]) error { return j.j.Append(r) }
-
-// Invalidate journals a conviction tombstone for one job: on resume the
-// job's earlier record is discarded and the job re-runs. The tombstone
-// is fsynced before the caller may drop the in-memory result, so a
-// crash between invalidation and re-execution cannot resurrect a
-// result from a convicted worker.
-func (j *Journal) Invalidate(id string) error {
-	return j.j.Append(Result[json.RawMessage]{ID: id, Status: StatusInvalidated})
-}
-
-// Close closes the journal. Safe to call twice.
-func (j *Journal) Close() error { return j.j.Close() }
 
 // syncDir fsyncs the directory containing path so a just-created
 // journal survives a crash of the host (best-effort: some platforms

@@ -101,23 +101,23 @@ func TestJournalValueRoundTripsExactly(t *testing.T) {
 		M: map[int]float64{7: 1.0 / 3.0},
 	}
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	jobs := []Job[payload]{{
+	jobs := []Job{{
 		ID:  "p",
-		Run: func(context.Context) (payload, error) { return want, nil },
+		Run: jsonRun(func(context.Context) (payload, error) { return want, nil }),
 	}}
 	cfg := Config{CheckpointPath: path, ConfigHash: "h"}
 	if _, err := Run(context.Background(), cfg, jobs); err != nil {
 		t.Fatal(err)
 	}
-	jobs[0].Run = func(context.Context) (payload, error) {
+	jobs[0].Run = jsonRun(func(context.Context) (payload, error) {
 		return payload{}, errors.New("must not re-run")
-	}
+	})
 	cfg.Resume = true
 	rep, err := Run(context.Background(), cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := rep.Results["p"].Value
+	got := decode[payload](t, rep.Results["p"])
 	if got.F != want.F || got.U != want.U || got.M[7] != want.M[7] {
 		t.Fatalf("round trip drifted: %+v vs %+v", got, want)
 	}

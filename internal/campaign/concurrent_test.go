@@ -23,13 +23,13 @@ import (
 func TestConcurrentCampaignsSeparateCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	const jobsPer = 20
-	mkJobs := func(prefix string) []Job[int] {
-		jobs := make([]Job[int], jobsPer)
+	mkJobs := func(prefix string) []Job {
+		jobs := make([]Job, jobsPer)
 		for i := range jobs {
 			i := i
-			jobs[i] = Job[int]{
+			jobs[i] = Job{
 				ID:  fmt.Sprintf("%s/job-%02d", prefix, i),
-				Run: func(context.Context) (int, error) { return i * i, nil },
+				Run: jsonRun(func(context.Context) (int, error) { return i * i, nil }),
 			}
 		}
 		return jobs
@@ -84,7 +84,11 @@ func TestConcurrentCampaignsSeparateCheckpoints(t *testing.T) {
 				}
 				continue
 			}
-			r, err := parseRecordV2[int](sc.Bytes())
+			var r Result[int]
+			rb, err := UnframeRecord(sc.Bytes())
+			if err == nil {
+				err = json.Unmarshal(rb, &r)
+			}
 			if err != nil {
 				t.Fatalf("%s line %d: unparseable record %q: %v", path, line, sc.Text(), err)
 			}
@@ -110,7 +114,7 @@ func TestConcurrentCampaignsSeparateCheckpoints(t *testing.T) {
 		jobs := mkJobs(prefix)
 		for i := range jobs {
 			inner := jobs[i].Run
-			jobs[i].Run = func(ctx context.Context) (int, error) {
+			jobs[i].Run = func(ctx context.Context) (json.RawMessage, error) {
 				ran = true
 				return inner(ctx)
 			}
@@ -132,13 +136,13 @@ func TestConcurrentCampaignsSeparateCheckpoints(t *testing.T) {
 func TestConcurrentCampaignsSameCheckpointExcluded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.ckpt")
 	gate := make(chan struct{})
-	jobs := func() []Job[int] {
-		return []Job[int]{{
+	jobs := func() []Job {
+		return []Job{{
 			ID: "only",
-			Run: func(context.Context) (int, error) {
+			Run: jsonRun(func(context.Context) (int, error) {
 				<-gate // hold the first campaign open until both have tried the file
 				return 1, nil
-			},
+			}),
 		}}
 	}
 

@@ -39,7 +39,7 @@ func FuzzParseJournal(f *testing.F) {
 	f.Add([]byte(`{"v":9,"config_hash":"h"}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		sc, err := parseJournal[json.RawMessage](blob, "")
+		sc, err := parseJournal(blob, "")
 		if err != nil {
 			return
 		}
@@ -49,7 +49,7 @@ func FuzzParseJournal(f *testing.F) {
 		if sc.tornBytes < 0 || sc.validLen+sc.tornBytes != int64(len(blob)) {
 			t.Fatalf("validLen %d + tornBytes %d != len %d", sc.validLen, sc.tornBytes, len(blob))
 		}
-		re, err := parseJournal[json.RawMessage](blob[:sc.validLen], "")
+		re, err := parseJournal(blob[:sc.validLen], "")
 		if err != nil {
 			t.Fatalf("valid prefix of %d bytes failed to re-parse: %v", sc.validLen, err)
 		}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -160,24 +161,26 @@ func TestV2TornTailStillTolerated(t *testing.T) {
 
 func TestInvalidationTombstoneRerunsJobOnResume(t *testing.T) {
 	path := v2Journal(t)
-	jl, done, err := OpenJournal(path, "h", true)
+	led, err := OpenLedger(path, "h", true, []string{"job/00", "job/01", "job/02"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 3 {
-		t.Fatalf("resumed %d records, want 3", len(done))
+	for _, id := range []string{"job/00", "job/01", "job/02"} {
+		if r, ok := led.Result(id); !ok || !r.Resumed {
+			t.Fatalf("%s not resumed: %+v", id, r)
+		}
 	}
-	if err := jl.Invalidate("job/01"); err != nil {
+	if err := led.Revoke("job/01"); err != nil {
 		t.Fatal(err)
 	}
-	if err := jl.Close(); err != nil {
-		t.Fatal(err)
+	if rep, err := led.Close(); err != nil || rep.Resumed != 2 || rep.Completed != 2 {
+		t.Fatalf("after revoke: report %+v, err %v; want 2 resumed and completed", rep, err)
 	}
 
 	reran := false
 	jobs := sumJobs(3)
 	inner := jobs[1].Run
-	jobs[1].Run = func(ctx context.Context) (int, error) {
+	jobs[1].Run = func(ctx context.Context) (json.RawMessage, error) {
 		reran = true
 		return inner(ctx)
 	}

@@ -16,8 +16,8 @@ import (
 // only after this layer reports the record durable.
 func TestJournalAppendFailureReturnsErrorAndKeepsJobPending(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	appendHook = func(v any) error {
-		if r, ok := v.(Result[int]); ok && r.ID == "bad" {
+	appendHook = func(r Result[json.RawMessage]) error {
+		if r.ID == "bad" {
 			return errors.New("injected fsync failure")
 		}
 		return nil
@@ -25,10 +25,10 @@ func TestJournalAppendFailureReturnsErrorAndKeepsJobPending(t *testing.T) {
 	defer func() { appendHook = nil }()
 
 	var observed []string
-	jobs := []Job[int]{
-		{ID: "good", Run: func(context.Context) (int, error) { return 1, nil }},
-		{ID: "bad", Run: func(context.Context) (int, error) { return 2, nil }},
-		{ID: "after", Run: func(context.Context) (int, error) { return 3, nil }},
+	jobs := []Job{
+		{ID: "good", Run: jsonRun(func(context.Context) (int, error) { return 1, nil })},
+		{ID: "bad", Run: jsonRun(func(context.Context) (int, error) { return 2, nil })},
+		{ID: "after", Run: jsonRun(func(context.Context) (int, error) { return 3, nil })},
 	}
 	rep, err := Run(context.Background(), Config{
 		Workers:        1,

@@ -96,7 +96,7 @@ func (c *Campaign) Close() error {
 
 // Run is the command's experiments.Executor: the distributed fabric
 // over -workers, or the local crash-safe runner without them.
-func (c *Campaign) Run(ctx context.Context, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
+func (c *Campaign) Run(ctx context.Context, src *experiments.JobSource) (*campaign.Report, error) {
 	if c.workers == "" {
 		return c.local.RunLocal(ctx, src)
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -34,10 +33,10 @@ type batchKey struct {
 
 // runBoardSource runs every job of src on workers and fails the test
 // if the campaign does not finish within a minute.
-func runBoardSource(t *testing.T, src *JobSource, workers int) *campaign.Report[json.RawMessage] {
+func runBoardSource(t *testing.T, src *JobSource, workers int) *campaign.Report {
 	t.Helper()
 	type result struct {
-		rep *campaign.Report[json.RawMessage]
+		rep *campaign.Report
 		err error
 	}
 	done := make(chan result, 1)
@@ -150,7 +149,7 @@ func TestSoakHelpsOnlyWantedBatches(t *testing.T) {
 	for tr := 64; tr < 128; tr++ {
 		ids = append(ids, soakJobID(core.StructPureSRAM, tr))
 	}
-	jobs, err := src.Jobs(ids)
+	jobs, err := src.Jobs(ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

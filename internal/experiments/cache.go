@@ -103,48 +103,31 @@ func soakCacheKey(opts SoakOptions, s core.Structure, trial int) (resultcache.Ke
 	return resultcache.NewKey(cacheKindSoak, base, fault)
 }
 
-// UseCache attaches a result cache to the source: Jobs wraps every
-// runner in a cache lookup (with singleflight collapsing), so a job
-// whose key is cached journals the cached bytes without executing.
-// Because the cache stores the exact bytes the runner would have
-// produced, campaign reports stay byte-identical either way. A nil
-// cache is a no-op.
-func (s *JobSource) UseCache(c *resultcache.Cache) error {
-	if c == nil {
-		return nil
-	}
-	for _, id := range s.IDs {
-		j := s.jobs[id]
-		k, err := j.cacheKey()
-		if err != nil {
-			return err
-		}
-		j.key = k
-	}
-	s.cache = c
-	return nil
-}
-
-// CachedResult consults the cache (both tiers, no compute) for one job
+// CachedResult consults cache c (both tiers, no compute) for one job
 // and, on a hit, synthesizes the finished result exactly as a fresh
 // first-attempt run would have journaled it. The fabric coordinator
 // uses this to merge hits instantly instead of placing the job on a
-// worker.
-func (s *JobSource) CachedResult(id string) (campaign.Result[json.RawMessage], bool) {
+// worker. Because the cache stores the exact bytes the runner would
+// have produced, campaign reports stay byte-identical either way.
+func (s *JobSource) CachedResult(c *resultcache.Cache, id string) (campaign.Result[json.RawMessage], bool, error) {
 	j, ok := s.jobs[id]
-	if s.cache == nil || !ok {
-		return campaign.Result[json.RawMessage]{}, false
-	}
-	v, ok := s.cache.Get(j.key)
 	if !ok {
-		return campaign.Result[json.RawMessage]{}, false
+		return campaign.Result[json.RawMessage]{}, false, fmt.Errorf("experiments: unknown job ID %q", id)
+	}
+	k, err := j.cacheKey()
+	if err != nil {
+		return campaign.Result[json.RawMessage]{}, false, err
+	}
+	v, ok := c.Get(k)
+	if !ok {
+		return campaign.Result[json.RawMessage]{}, false, nil
 	}
 	return campaign.Result[json.RawMessage]{
 		ID:       id,
 		Status:   campaign.StatusDone,
 		Attempts: 1,
 		Value:    json.RawMessage(v),
-	}, true
+	}, true, nil
 }
 
 // cachedRun wraps one job runner in cache c: lookup (or collapse onto

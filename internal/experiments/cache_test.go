@@ -169,15 +169,12 @@ func TestCachedResultMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.UseCache(c); err != nil {
-		t.Fatal(err)
-	}
 	id := src.IDs[0]
-	res, ok := src.CachedResult(id)
-	if !ok {
-		t.Fatalf("no cached result for %s after a cached sweep", id)
+	res, ok, err := src.CachedResult(c, id)
+	if err != nil || !ok {
+		t.Fatalf("no cached result for %s after a cached sweep (%v)", id, err)
 	}
-	jobs, err := src.Jobs([]string{id})
+	jobs, err := src.Jobs([]string{id}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,9 +46,9 @@ type CampaignConfig struct {
 	// internal/resultcache.
 	Cache *resultcache.Cache
 
-	// onJobDone is a test seam observing each finished job (used to
+	// onJobResult is a test seam observing each finished job (used to
 	// cancel mid-campaign in the crash-resume tests).
-	onJobDone func(id string, status campaign.Status)
+	onJobResult func(campaign.Result[json.RawMessage])
 }
 
 // Validate rejects inconsistent configurations.
@@ -68,18 +68,15 @@ func (c CampaignConfig) Validate() error {
 // Executor runs every job of a campaign source and returns the raw
 // report: CampaignConfig.RunLocal in process, or fabric.Config.Run
 // across ftspmd workers. Both are method values of their config.
-type Executor func(ctx context.Context, src *JobSource) (*campaign.Report[json.RawMessage], error)
+type Executor func(ctx context.Context, src *JobSource) (*campaign.Report, error)
 
 // RunLocal is the in-process Executor: src's jobs run on the crash-safe
 // campaign runner configured by c, consulting c.Cache first.
-func (c CampaignConfig) RunLocal(ctx context.Context, src *JobSource) (*campaign.Report[json.RawMessage], error) {
+func (c CampaignConfig) RunLocal(ctx context.Context, src *JobSource) (*campaign.Report, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := src.UseCache(c.Cache); err != nil {
-		return nil, err
-	}
-	jobs, err := src.Jobs(src.IDs)
+	jobs, err := src.Jobs(src.IDs, c.Cache)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +92,7 @@ func (c CampaignConfig) runnerConfig(hash string) campaign.Config {
 		CheckpointPath: c.Checkpoint,
 		Resume:         c.Resume,
 		ConfigHash:     hash,
-		OnJobDone:      c.onJobDone,
+		OnJobResult:    c.onJobResult,
 	}
 }
 
@@ -152,7 +149,7 @@ func (e *resumedFailure) Error() string { return e.msg }
 
 // statusOf flattens a campaign report, ordering failures by the
 // campaign's job order so salvage output is deterministic.
-func statusOf[R any](rep *campaign.Report[R], jobOrder []string) *CampaignStatus {
+func statusOf(rep *campaign.Report, jobOrder []string) *CampaignStatus {
 	st := &CampaignStatus{
 		Completed:  rep.Completed,
 		Failed:     rep.Failed,

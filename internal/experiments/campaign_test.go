@@ -42,7 +42,7 @@ func TestSweepCrashResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	done := 0
 	cc := CampaignConfig{Checkpoint: path, Workers: 2,
-		onJobDone: func(string, campaign.Status) {
+		onJobResult: func(campaign.Result[json.RawMessage]) {
 			if done++; done == 5 {
 				cancel() // the "crash": drain after 5 finished jobs
 			}
@@ -181,7 +181,7 @@ func TestSoakCrashResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	done := 0
 	cc := CampaignConfig{Checkpoint: path, Workers: 2,
-		onJobDone: func(string, campaign.Status) {
+		onJobResult: func(campaign.Result[json.RawMessage]) {
 			if done++; done == 3 {
 				cancel()
 			}

@@ -360,10 +360,10 @@ type soakStructShared struct {
 // of any idle structure, so both cores stay busy while dispatch walks
 // one structure's trials. Engines are built one at a time per board
 // (soakShared.building). Wanted batches are those covering the job IDs
-// the source handed out (JobSource.Jobs, JobsUncached): a fabric worker
-// given one chunk computes the chunk's batches and no others. Once
-// every wanted batch has landed the engine is dropped; a later Jobs
-// call that wants more rebuilds it.
+// the source handed out (JobSource.Jobs, with or without a cache): a
+// fabric worker given one chunk computes the chunk's batches and no
+// others. Once every wanted batch has landed the engine is dropped; a
+// later Jobs call that wants more rebuilds it.
 //
 // A configuration the engine rejects (or a wear model, which it has no
 // lanes for) latches the slot off, counted once, and every job of the

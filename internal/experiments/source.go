@@ -88,8 +88,6 @@ type JobSource struct {
 
 	// jobs is the job table, one entry per ID.
 	jobs map[string]*sourceJob
-	// cache, set by UseCache, is consulted before running a job.
-	cache *resultcache.Cache
 	// soak is a soak source's batch board (nil for a sweep). Its jobs'
 	// hand-out hooks hold it too; tests set its batch hook here.
 	soak *soakShared
@@ -104,10 +102,9 @@ type sourceJob struct {
 	run func(ctx context.Context) (json.RawMessage, error)
 	// setup is the job's set-up key (see SetupKey).
 	setup string
-	// cacheKey derives the job's result-cache key; UseCache calls it
-	// and stores the key in key.
+	// cacheKey derives the job's result-cache key, only for a job that
+	// is handed out or looked up with a cache.
 	cacheKey func() (resultcache.Key, error)
-	key      resultcache.Key
 	// handOut, when non-nil, runs as the job is handed out: a soak job
 	// marks its lane batch wanted on the batch board, so only the
 	// batches of handed-out jobs are computed by jobs helping their
@@ -121,38 +118,31 @@ func (s *JobSource) add(id string, j sourceJob) {
 	s.jobs[id] = &j
 }
 
-// Jobs returns runnable jobs for the listed IDs, in the given order.
-// With a cache attached (see UseCache), each runner consults it first
-// and stores on miss; the journaled bytes are identical either way.
-func (s *JobSource) Jobs(ids []string) ([]campaign.Job[json.RawMessage], error) {
-	return s.runnable(ids, s.cache)
-}
-
-// JobsUncached returns runnable jobs that bypass any attached cache —
-// always a real execution. Integrity audits re-execute through this
-// path: an audit that read back a memo instead of recomputing would
-// verify nothing.
-func (s *JobSource) JobsUncached(ids []string) ([]campaign.Job[json.RawMessage], error) {
-	return s.runnable(ids, nil)
-}
-
-// runnable hands out the listed jobs, running each one's hand-out hook
-// and wrapping its runner in cache c when c is non-nil.
-func (s *JobSource) runnable(ids []string, c *resultcache.Cache) ([]campaign.Job[json.RawMessage], error) {
-	jobs := make([]campaign.Job[json.RawMessage], 0, len(ids))
+// Jobs hands out runnable jobs for the listed IDs, in the given order.
+// With a non-nil cache each runner consults it first and stores on
+// miss; the journaled bytes are identical either way. A nil cache
+// always executes: integrity audits re-execute that way, since an
+// audit that read back a memo instead of recomputing would verify
+// nothing.
+func (s *JobSource) Jobs(ids []string, c *resultcache.Cache) ([]campaign.Job, error) {
+	jobs := make([]campaign.Job, 0, len(ids))
 	for _, id := range ids {
 		j, ok := s.jobs[id]
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown job ID %q", id)
 		}
+		run := j.run
+		if c != nil {
+			k, err := j.cacheKey()
+			if err != nil {
+				return nil, err
+			}
+			run = cachedRun(c, k, run)
+		}
 		if j.handOut != nil {
 			j.handOut()
 		}
-		run := j.run
-		if c != nil {
-			run = cachedRun(c, j.key, run)
-		}
-		jobs = append(jobs, campaign.Job[json.RawMessage]{ID: id, Run: run})
+		jobs = append(jobs, campaign.Job{ID: id, Run: run})
 	}
 	return jobs, nil
 }
@@ -223,13 +213,9 @@ func SweepSource(opts Options) (*JobSource, error) {
 
 // AssembleSweep folds a finished (possibly merged-from-remote) raw
 // report of this sweep source into the Sweep and campaign status.
-func (s *JobSource) AssembleSweep(raw *campaign.Report[json.RawMessage]) (*Sweep, *CampaignStatus, error) {
+func (s *JobSource) AssembleSweep(rep *campaign.Report) (*Sweep, *CampaignStatus, error) {
 	if s.Spec.Kind != KindSweep {
 		return nil, nil, fmt.Errorf("experiments: AssembleSweep on a %s source", s.Spec.Kind)
-	}
-	rep, err := campaign.DecodeReport[Outcome](raw)
-	if err != nil {
-		return nil, nil, err
 	}
 	sw := &Sweep{Options: *s.Spec.Sweep}
 	sw.Workloads = make([]string, len(s.suite))
@@ -238,8 +224,8 @@ func (s *JobSource) AssembleSweep(raw *campaign.Report[json.RawMessage]) (*Sweep
 		sw.Workloads[wi] = w.Name
 		sw.Outcomes[wi] = make([]Outcome, len(s.structures))
 		for si, st := range s.structures {
-			if r, ok := rep.Results[sweepJobID(w.Name, st)]; ok && r.Status == campaign.StatusDone {
-				sw.Outcomes[wi][si] = r.Value
+			if _, err := decodeDone(rep, sweepJobID(w.Name, st), &sw.Outcomes[wi][si]); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -310,24 +296,38 @@ func SoakSource(base SoakOptions, structures []core.Structure) (*JobSource, erro
 // AssembleSoak folds a finished (possibly merged-from-remote) raw
 // report of this soak source into per-structure reports and the
 // campaign status.
-func (s *JobSource) AssembleSoak(raw *campaign.Report[json.RawMessage]) ([]*SoakReport, *CampaignStatus, error) {
+func (s *JobSource) AssembleSoak(rep *campaign.Report) ([]*SoakReport, *CampaignStatus, error) {
 	if s.Spec.Kind != KindSoak {
 		return nil, nil, fmt.Errorf("experiments: AssembleSoak on a %s source", s.Spec.Kind)
-	}
-	rep, err := campaign.DecodeReport[soakTrialResult](raw)
-	if err != nil {
-		return nil, nil, err
 	}
 	base := *s.Spec.Soak
 	reports := make([]*SoakReport, len(s.structures))
 	for i, st := range s.structures {
 		trials := make([]soakTrialResult, 0, base.Trials)
 		for t := 0; t < base.Trials; t++ {
-			if r, ok := rep.Results[soakJobID(st, t)]; ok && r.Status == campaign.StatusDone {
-				trials = append(trials, r.Value)
+			var tr soakTrialResult
+			done, err := decodeDone(rep, soakJobID(st, t), &tr)
+			if err != nil {
+				return nil, nil, err
+			}
+			if done {
+				trials = append(trials, tr)
 			}
 		}
 		reports[i] = aggregateSoak(base.Workload, st, base.Trials, trials)
 	}
 	return reports, statusOf(rep, s.IDs), nil
+}
+
+// decodeDone decodes the value of job id into v if the job is done in
+// rep, and reports whether it is.
+func decodeDone(rep *campaign.Report, id string, v any) (bool, error) {
+	r, ok := rep.Results[id]
+	if !ok || r.Status != campaign.StatusDone {
+		return false, nil
+	}
+	if err := json.Unmarshal(r.Value, v); err != nil {
+		return false, fmt.Errorf("experiments: decode result %s: %w", id, err)
+	}
+	return true, nil
 }

@@ -158,7 +158,7 @@ func TestStormSoakDeterministic(t *testing.T) {
 	defer cancel()
 	done := 0
 	_, _, err = run(CampaignConfig{Checkpoint: path,
-		onJobDone: func(string, campaign.Status) {
+		onJobResult: func(campaign.Result[json.RawMessage]) {
 			if done++; done == 1 {
 				cancel()
 			}

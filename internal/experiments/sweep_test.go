@@ -215,7 +215,7 @@ func TestSweepJobRunTwiceSimulatesTwice(t *testing.T) {
 	}
 	ftspmID := sweepJobID("sha", core.StructFTSPM)
 	for _, id := range []string{ftspmID, sweepJobID("sha", core.StructPureSRAM)} {
-		jobs, err := src.JobsUncached([]string{id})
+		jobs, err := src.Jobs([]string{id}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,11 +214,11 @@ func (f *fabricRun) reexecRemote(ctx context.Context, w *workerRef, id string) (
 }
 
 // reexecLocal re-executes one job in-process — the audit's trust anchor
-// — and returns its value attestation sum. The uncached job path is
-// deliberate: an audit must recompute, never read back a memo, or the
-// verification would be circular.
+// — and returns its value attestation sum. The job is handed out
+// without the cache on purpose: an audit must recompute, never read
+// back a memo, or the verification would be circular.
 func (f *fabricRun) reexecLocal(ctx context.Context, id string) (string, error) {
-	jobs, err := f.src.JobsUncached([]string{id})
+	jobs, err := f.src.Jobs([]string{id}, nil)
 	if err != nil {
 		return "", err
 	}

@@ -211,77 +211,61 @@ type fabricRun struct {
 // campaign.ErrIncomplete, exactly like the local campaign runner. The
 // method value cfg.Run is an experiments.Executor, as
 // CampaignConfig.RunLocal is.
-func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.Report[json.RawMessage], error) {
+func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.Report, error) {
 	cfg := c.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, ErrNoWorkers
 	}
-
-	rep := &campaign.Report[json.RawMessage]{
-		Results: make(map[string]campaign.Result[json.RawMessage], len(src.IDs)),
-	}
-	var jl *campaign.Journal
-	if cfg.Checkpoint != "" {
-		var done map[string]campaign.Result[json.RawMessage]
-		var err error
-		jl, done, err = campaign.OpenJournal(cfg.Checkpoint, src.Hash, cfg.Resume)
+	downs := make(chan struct{}, 1)
+	workers := make([]*workerRef, len(cfg.Workers))
+	for i, u := range cfg.Workers {
+		cl, err := client.New(client.Config{BaseURL: u, HTTPClient: cfg.HTTPClient})
 		if err != nil {
-			return nil, fmt.Errorf("fabric: %w", err)
+			return nil, fmt.Errorf("fabric: worker %s: %w", u, err)
 		}
-		defer jl.Close()
-		for _, id := range src.IDs {
-			r, ok := done[id]
-			if !ok {
-				continue
-			}
-			r.Resumed = true
-			rep.Results[id] = r
-			rep.Resumed++
-			if r.Status == campaign.StatusFailed {
-				rep.Failed++
-			} else {
-				rep.Completed++
-			}
-		}
-		if rep.Resumed > 0 {
-			cfg.Logf("fabric: resumed %d finished jobs from %s", rep.Resumed, cfg.Checkpoint)
-		}
+		workers[i] = &workerRef{url: u, cl: cl, brk: server.NewBreaker(cfg.Breaker, nil), downs: downs}
 	}
-
+	led, err := campaign.OpenLedger(cfg.Checkpoint, src.Hash, cfg.Resume, src.IDs)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
+	}
 	var todo []string
 	for _, id := range src.IDs {
-		if _, ok := rep.Results[id]; !ok {
+		if _, ok := led.Result(id); !ok {
 			todo = append(todo, id)
 		}
 	}
+	if n := len(src.IDs) - len(todo); n > 0 {
+		cfg.Logf("fabric: resumed %d finished jobs from %s", n, cfg.Checkpoint)
+	}
 
-	m := newMerger(jl, rep)
+	m := newMerger(led)
 	if cfg.Cache != nil {
 		// Cache pre-merge: jobs whose results the coordinator's cache
 		// already holds never reach the queue. Each hit merges through
 		// the normal path — journal-fsync first, exactly-once dedup,
 		// trusted "" origin — so the checkpoint stays byte-identical to
 		// a run that computed them, and a resume sees no difference.
-		if err := src.UseCache(cfg.Cache); err != nil {
-			return nil, fmt.Errorf("fabric: %w", err)
-		}
 		remaining := todo[:0]
-		hits := 0
 		for _, id := range todo {
-			res, ok := src.CachedResult(id)
+			res, ok, err := src.CachedResult(cfg.Cache, id)
+			if err != nil {
+				led.Close()
+				return nil, fmt.Errorf("fabric: %w", err)
+			}
 			if !ok {
 				remaining = append(remaining, id)
 				continue
 			}
-			if _, merr := m.add(res, ""); merr != nil {
-				return rep, fmt.Errorf("fabric: checkpoint: %w", merr)
+			if _, err := m.add(res, ""); err != nil {
+				rep, _ := led.Close()
+				return rep, fmt.Errorf("fabric: checkpoint: %w", err)
 			}
-			hits++
+		}
+		if hits := len(todo) - len(remaining); hits > 0 {
+			cfg.Logf("fabric: %d jobs served from the result cache; %d to place", hits, len(remaining))
 		}
 		todo = remaining
-		if hits > 0 {
-			cfg.Logf("fabric: %d jobs served from the result cache; %d to place", hits, len(todo))
-		}
 	}
 
 	f := &fabricRun{
@@ -290,22 +274,11 @@ func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.
 		tmpl:     requestFor(src, cfg),
 		q:        newQueue(todo, src.SetupKey, cfg.MaxPlacements),
 		m:        m,
+		workers:  workers,
 		chunk:    chunkSize(cfg, len(todo)),
 		fp:       cfg.Fingerprint,
-		downs:    make(chan struct{}, 1),
+		downs:    downs,
 		suspects: make(map[string]bool),
-	}
-	for _, u := range cfg.Workers {
-		cl, err := client.New(client.Config{BaseURL: u, HTTPClient: cfg.HTTPClient})
-		if err != nil {
-			return nil, fmt.Errorf("fabric: worker %s: %w", u, err)
-		}
-		f.workers = append(f.workers, &workerRef{
-			url:   u,
-			cl:    cl,
-			brk:   server.NewBreaker(cfg.Breaker, nil),
-			downs: f.downs,
-		})
 	}
 
 	// Cancellation path: closing the queue wakes blocked poppers and
@@ -333,25 +306,18 @@ func (c Config) Run(ctx context.Context, src *experiments.JobSource) (*campaign.
 	wg.Wait()
 	f.auditWG.Wait()
 
+	rep, err := led.Close()
 	if cfg.AuditFrac > 0 {
 		f.auditMu.Lock()
 		s := f.auditSum
 		f.auditMu.Unlock()
 		rep.Audit = &s
 	}
-
-	for _, id := range src.IDs {
-		if _, ok := rep.Results[id]; !ok {
-			rep.PendingIDs = append(rep.PendingIDs, id)
-		}
+	if qerr := f.q.failure(); qerr != nil {
+		return rep, fmt.Errorf("fabric: %w", qerr)
 	}
-	if err := f.q.failure(); err != nil {
+	if err != nil {
 		return rep, fmt.Errorf("fabric: %w", err)
-	}
-	if jl != nil {
-		if err := jl.Close(); err != nil {
-			return rep, fmt.Errorf("fabric: checkpoint: %w", err)
-		}
 	}
 	if qids := f.q.quarantinedIDs(); len(qids) > 0 {
 		return rep, fmt.Errorf("%w: %d of %d jobs not run (%d quarantined after %d lost placements each: %s)",
@@ -628,7 +594,7 @@ func (f *fabricRun) allDown() bool {
 // runLocal executes one chunk in-process, merging and acking each
 // result exactly as a worker stream would.
 func (f *fabricRun) runLocal(ctx context.Context, chunk []string) {
-	jobs, err := f.src.Jobs(chunk)
+	jobs, err := f.src.Jobs(chunk, f.cfg.Cache)
 	if err != nil {
 		f.q.fail(err)
 		return

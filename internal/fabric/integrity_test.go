@@ -37,13 +37,33 @@ func streamWorker(t *testing.T, lines []wire.Line) (*fabricRun, *workerRef) {
 	f := &fabricRun{
 		cfg:      cfg,
 		q:        newQueue([]string{"good"}, oneGroup, cfg.MaxPlacements),
-		m:        newMerger(nil, &campaign.Report[json.RawMessage]{}),
+		m:        newMerger(memLedger(t, "good")),
 		fp:       cfg.Fingerprint,
 		suspects: make(map[string]bool),
 	}
 	w := &workerRef{url: srv.URL, cl: cl, brk: server.NewBreaker(cfg.Breaker, nil)}
 	f.workers = []*workerRef{w}
 	return f, w
+}
+
+// memLedger opens an in-memory ledger over ids.
+func memLedger(t *testing.T, ids ...string) *campaign.Ledger {
+	t.Helper()
+	led, err := campaign.OpenLedger("", "", false, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return led
+}
+
+// merged closes the merger's ledger and returns the merged results.
+func merged(t *testing.T, m *merger) map[string]campaign.Result[json.RawMessage] {
+	t.Helper()
+	rep, err := m.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Results
 }
 
 // attested wraps a result in a correctly-attested stream line.
@@ -75,8 +95,8 @@ func TestPlaceRejectsUnplacedJobID(t *testing.T) {
 	}
 	f.place(context.Background(), w, chunk)
 
-	if len(f.m.rep.Results) != 0 {
-		t.Fatalf("unplaced result merged: %+v", f.m.rep.Results)
+	if rs := merged(t, f.m); len(rs) != 0 {
+		t.Fatalf("unplaced result merged: %+v", rs)
 	}
 	if !w.isDown() {
 		t.Fatal("worker not marked down after protocol violation")
@@ -110,8 +130,8 @@ func TestPlaceRejectsAttestationMismatch(t *testing.T) {
 	}
 	f.place(context.Background(), w, chunk)
 
-	if len(f.m.rep.Results) != 0 {
-		t.Fatalf("corrupt result merged: %+v", f.m.rep.Results)
+	if rs := merged(t, f.m); len(rs) != 0 {
+		t.Fatalf("corrupt result merged: %+v", rs)
 	}
 	if !w.isDown() {
 		t.Fatal("worker not marked down after attestation failure")
@@ -133,8 +153,8 @@ func TestPlaceRejectsFingerprintMismatch(t *testing.T) {
 	}
 	f.place(context.Background(), w, chunk)
 
-	if len(f.m.rep.Results) != 0 {
-		t.Fatalf("foreign-fingerprint result merged: %+v", f.m.rep.Results)
+	if rs := merged(t, f.m); len(rs) != 0 {
+		t.Fatalf("foreign-fingerprint result merged: %+v", rs)
 	}
 	if requeued, rok := f.q.tryPop(8); !rok || len(requeued) != 1 || requeued[0] != "good" {
 		t.Fatalf("job not re-queued: %v ok=%v", requeued, rok)
@@ -154,8 +174,8 @@ func TestPlaceAcceptsAttestedResult(t *testing.T) {
 	}
 	f.place(context.Background(), w, chunk)
 
-	if got := f.m.rep.Results["good"]; got.Status != campaign.StatusDone {
-		t.Fatalf("attested result did not merge: %+v", f.m.rep.Results)
+	if rs := merged(t, f.m); rs["good"].Status != campaign.StatusDone {
+		t.Fatalf("attested result did not merge: %+v", rs)
 	}
 	if !f.q.isClosed() {
 		t.Fatal("queue should close once the only job is acked")
@@ -219,8 +239,7 @@ func TestAuditPickDeterministicFraction(t *testing.T) {
 // Conviction revokes exactly the convicted worker's unaudited results:
 // audit-passed results and other workers' results survive.
 func TestInvalidateFromScopesToConvictedWorker(t *testing.T) {
-	rep := &campaign.Report[json.RawMessage]{}
-	m := newMerger(nil, rep)
+	m := newMerger(memLedger(t, "a", "b", "c", "d", "e"))
 	for _, tc := range []struct{ id, origin string }{
 		{"a", "w1"}, {"b", "w1"}, {"c", "w2"}, {"d", ""},
 	} {
@@ -237,6 +256,14 @@ func TestInvalidateFromScopesToConvictedWorker(t *testing.T) {
 	if len(ids) != 1 || ids[0] != "b" {
 		t.Fatalf("invalidated %v, want [b] only", ids)
 	}
+	// And the convicted worker can no longer merge anything.
+	if _, err := m.add(doneResult("e"), "w1"); err != errSuspectOrigin {
+		t.Fatalf("post-conviction merge err = %v, want errSuspectOrigin", err)
+	}
+	rep, err := m.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Completed != 3 {
 		t.Fatalf("completed %d after revocation, want 3", rep.Completed)
 	}
@@ -244,9 +271,5 @@ func TestInvalidateFromScopesToConvictedWorker(t *testing.T) {
 		if _, ok := rep.Results[id]; !ok {
 			t.Fatalf("result %s wrongly revoked", id)
 		}
-	}
-	// And the convicted worker can no longer merge anything.
-	if _, err := m.add(doneResult("e"), "w1"); err != errSuspectOrigin {
-		t.Fatalf("post-conviction merge err = %v, want errSuspectOrigin", err)
 	}
 }

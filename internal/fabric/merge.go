@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"errors"
 	"sync"
 
@@ -16,24 +15,20 @@ import (
 var errSuspectOrigin = errors.New("fabric: result from convicted worker")
 
 // merger folds streamed job results — from any worker stream or the
-// local fallback runner, concurrently — into one campaign report with
-// exactly-once semantics. Results are journaled before they are
-// accounted, so a job is acked (and never re-placed) only once its
-// result is durable; the journal it writes is the same JSONL checkpoint
-// campaign.Run writes, so a single-node run can resume a fabric
-// checkpoint and vice versa.
+// local fallback runner, concurrently — into the campaign's ledger,
+// which journals each result before it counts and keeps the first
+// durable result of each job, so a job is acked (and never re-placed)
+// only once its result is durable.
 //
-// For the integrity layer the merger additionally keeps provenance:
-// which worker produced each merged result ("" for local execution,
-// which is trusted by definition), which results an audit re-execution
-// has confirmed, and which workers have been convicted. Conviction
-// revokes every unconfirmed result of that worker — journal tombstone
-// first, then the in-memory drop, so a crash between the two cannot
-// resurrect a convicted worker's result on resume.
+// For the integrity layer the merger keeps provenance: which worker
+// produced each merged result ("" for local execution, which is
+// trusted by definition), which results an audit re-execution has
+// confirmed, and which workers have been convicted. Conviction revokes
+// every unconfirmed result of that worker through the ledger, journal
+// tombstone first.
 type merger struct {
 	mu  sync.Mutex
-	jl  *campaign.Journal // nil when the run is not checkpointed
-	rep *campaign.Report[json.RawMessage]
+	led *campaign.Ledger
 	// origin maps live-merged job IDs to the worker URL that produced
 	// them ("" = local fallback). Resumed results have no origin and are
 	// never revoked.
@@ -45,12 +40,9 @@ type merger struct {
 	convicted map[string]bool
 }
 
-func newMerger(jl *campaign.Journal, rep *campaign.Report[json.RawMessage]) *merger {
-	if rep.Results == nil {
-		rep.Results = make(map[string]campaign.Result[json.RawMessage])
-	}
+func newMerger(led *campaign.Ledger) *merger {
 	return &merger{
-		jl: jl, rep: rep,
+		led:       led,
 		origin:    make(map[string]string),
 		passed:    make(map[string]bool),
 		convicted: make(map[string]bool),
@@ -60,7 +52,7 @@ func newMerger(jl *campaign.Journal, rep *campaign.Report[json.RawMessage]) *mer
 // add merges one result produced by origin (a worker URL, or "" for
 // local execution). Duplicates — the same job streamed by two placements
 // because a lease expired on a slow-but-alive worker — are dropped by
-// job ID: first durable result wins (merged=false, no error). A
+// the ledger: first durable result wins (merged=false, no error). A
 // non-nil error means the result must not be acked: errSuspectOrigin if
 // the producer was convicted mid-stream, otherwise the result could not
 // be made durable (checkpoint append failed) and stays pending for a
@@ -71,22 +63,11 @@ func (m *merger) add(res wire.JobResult, origin string) (merged bool, err error)
 	if m.convicted[origin] {
 		return false, errSuspectOrigin
 	}
-	if _, dup := m.rep.Results[res.ID]; dup {
-		return false, nil
+	merged, err = m.led.Add(res)
+	if merged {
+		m.origin[res.ID] = origin
 	}
-	if m.jl != nil {
-		if err := m.jl.Append(res); err != nil {
-			return false, err
-		}
-	}
-	m.rep.Results[res.ID] = res
-	m.origin[res.ID] = origin
-	if res.Status == campaign.StatusFailed {
-		m.rep.Failed++
-	} else {
-		m.rep.Completed++
-	}
-	return true, nil
+	return merged, err
 }
 
 // auditPass marks one merged result as confirmed by re-execution.
@@ -100,9 +81,7 @@ func (m *merger) auditPass(id string) {
 // result for id ("" if none) — the audit's check that the result it
 // re-executed is still the one in the report.
 func (m *merger) currentSum(id string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	res, ok := m.rep.Results[id]
+	res, ok := m.led.Result(id)
 	if !ok {
 		return ""
 	}
@@ -110,12 +89,11 @@ func (m *merger) currentSum(id string) string {
 }
 
 // invalidateFrom convicts one worker: every result it produced that no
-// audit has confirmed is revoked — journaled as a StatusInvalidated
-// tombstone (fsynced) and then dropped from the report — and the
-// revoked job IDs are returned for re-queueing. Idempotent: a second
-// conviction of the same worker revokes nothing further. A journal
-// error aborts mid-way; the IDs already revoked are still returned and
-// the caller must fail the run (the journal is gone).
+// audit has confirmed is revoked, and the revoked job IDs are returned
+// for re-queueing. Idempotent: a second conviction of the same worker
+// revokes nothing further. A journal error aborts mid-way; the IDs
+// already revoked are still returned and the caller must fail the run
+// (the journal is gone).
 func (m *merger) invalidateFrom(url string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -125,19 +103,10 @@ func (m *merger) invalidateFrom(url string) ([]string, error) {
 		if o != url || m.passed[id] {
 			continue
 		}
-		if m.jl != nil {
-			if err := m.jl.Invalidate(id); err != nil {
-				return ids, err
-			}
+		if err := m.led.Revoke(id); err != nil {
+			return ids, err
 		}
-		res := m.rep.Results[id]
-		delete(m.rep.Results, id)
 		delete(m.origin, id)
-		if res.Status == campaign.StatusFailed {
-			m.rep.Failed--
-		} else {
-			m.rep.Completed--
-		}
 		ids = append(ids, id)
 	}
 	return ids, nil

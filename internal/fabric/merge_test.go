@@ -2,13 +2,16 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"ftspm/internal/campaign"
+	"ftspm/internal/experiments"
 	"ftspm/internal/fabric/wire"
 )
 
@@ -20,9 +23,11 @@ import (
 func TestMergerConcurrentStreamsByteIdentical(t *testing.T) {
 	const n = 64
 	results := make([]wire.JobResult, n)
+	ids := make([]string, n)
 	for i := range results {
+		ids[i] = fmt.Sprintf("job-%02d", i)
 		results[i] = wire.JobResult{
-			ID:       fmt.Sprintf("job-%02d", i),
+			ID:       ids[i],
 			Status:   campaign.StatusDone,
 			Attempts: 1,
 			Value:    json.RawMessage(fmt.Sprintf(`{"trial":%d,"metric":%d}`, i, i*i)),
@@ -35,7 +40,7 @@ func TestMergerConcurrentStreamsByteIdentical(t *testing.T) {
 	}
 
 	// Golden: one writer, sorted (ID) order.
-	golden := newMerger(nil, &campaign.Report[json.RawMessage]{})
+	golden := newMerger(memLedger(t, ids...))
 	for _, r := range results {
 		if _, err := golden.add(r, "w1"); err != nil {
 			t.Fatal(err)
@@ -44,8 +49,7 @@ func TestMergerConcurrentStreamsByteIdentical(t *testing.T) {
 
 	// Concurrent: 8 interleaved streams, each shuffled, each also
 	// replaying a slice of its neighbour's results as duplicates.
-	rep := &campaign.Report[json.RawMessage]{}
-	m := newMerger(nil, rep)
+	m := newMerger(memLedger(t, ids...))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -70,6 +74,10 @@ func TestMergerConcurrentStreamsByteIdentical(t *testing.T) {
 	}
 	wg.Wait()
 
+	rep, err := m.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Completed+rep.Failed != n {
 		t.Fatalf("accounted %d+%d jobs, want %d (duplicates must not double-count)",
 			rep.Completed, rep.Failed, n)
@@ -78,11 +86,28 @@ func TestMergerConcurrentStreamsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(golden.rep)
+	goldenRep, err := golden.led.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(goldenRep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("concurrent merge diverged from single-writer golden:\n got %s\nwant %s", got, want)
+	}
+}
+
+// Resuming needs a journal to resume from; without one the coordinator
+// would silently rerun every job.
+func TestRunResumeWithoutCheckpointRejected(t *testing.T) {
+	src, err := experiments.SweepSource(experiments.Options{Scale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: []string{"http://127.0.0.1:1"}, Resume: true, ProbeInterval: time.Hour}
+	if rep, err := cfg.Run(context.Background(), src); !campaign.IsUsage(err) || rep != nil {
+		t.Fatalf("Run(Resume, no checkpoint) = %+v, %v; want a usage error", rep, err)
 	}
 }

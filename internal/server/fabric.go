@@ -56,11 +56,7 @@ func (s *Server) handleFabric(w http.ResponseWriter, r *http.Request) {
 	// computed stream back without re-executing. Chaos corruption, when
 	// enabled, applies at emit time — after the cache — so the drill
 	// corrupts every emission whether or not it was memoized.
-	if err := src.UseCache(s.cache); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	jobs, err := src.Jobs(req.JobIDs)
+	jobs, err := src.Jobs(req.JobIDs, s.cache)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
