@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"ftspm/internal/campaign"
 	"ftspm/internal/core"
@@ -47,17 +48,72 @@ type evaluateFault struct {
 	Model string `json:"model"`
 }
 
+// evaluateFaultDigest is the fault part of every evaluate key, digested
+// on first use rather than at package init.
+var evaluateFaultDigest = sync.OnceValues(func() (string, error) {
+	blob, err := resultcache.CanonicalJSON(evaluateFault{Model: "analytic-avf"})
+	if err != nil {
+		return "", fmt.Errorf("resultcache: fault key: %w", err)
+	}
+	return resultcache.Digest(cacheKindEvaluate, blob), nil
+})
+
+// evaluateKeyBase is the base part of an evaluate key, with its JSON
+// fields in sorted name order at every level: one json.Marshal of it
+// writes exactly what resultcache.CanonicalJSON makes of the same
+// fields, so evaluateCacheKey derives resultcache.NewKey's key without
+// the canonicalizing round trip. The equality holds for every valid
+// UTF-8 workload string (CanonicalJSON's round trip would turn an
+// invalid byte's \ufffd escape into the raw rune), and
+// FuzzEvaluateKeyCanonical pins it.
+type evaluateKeyBase struct {
+	Budgets sortedThresholds `json:"budgets"`
+	// Priority is a float64 because CanonicalJSON reads every number
+	// back as one: a priority beyond 2^53 keys as its nearest float.
+	Priority  float64 `json:"priority"`
+	Scale     float64 `json:"scale"`
+	Structure string  `json:"structure"`
+	Workload  string  `json:"workload"`
+}
+
+// sortedThresholds is core.Thresholds with its fields in sorted name
+// order, the order CanonicalJSON gives the untagged struct's keys.
+// TestSortedThresholdsMatchCore fails when core.Thresholds gains a
+// field this copy lacks.
+type sortedThresholds struct {
+	CellWriteFraction float64
+	EnergyOverhead    float64
+	PerfOverhead      float64
+	WriteFraction     float64
+}
+
 // evaluateCacheKey keys one (workload, structure, options) evaluation.
-// opts must already be normalized.
+// opts must already be normalized. The key equals
+// resultcache.NewKey(cacheKindEvaluate, base, evaluateFault{...}) of
+// the same fields (see evaluateKeyBase), so entries already cached,
+// in memory or in a disk segment, still match.
 func evaluateCacheKey(workload string, s core.Structure, opts Options) (resultcache.Key, error) {
-	base := struct {
-		Workload  string          `json:"workload"`
-		Structure string          `json:"structure"`
-		Scale     float64         `json:"scale"`
-		Budgets   core.Thresholds `json:"budgets"`
-		Priority  core.Priority   `json:"priority"`
-	}{workload, s.String(), opts.Scale, opts.Thresholds, opts.Priority}
-	return resultcache.NewKey(cacheKindEvaluate, base, evaluateFault{Model: "analytic-avf"})
+	fault, err := evaluateFaultDigest()
+	if err != nil {
+		return resultcache.Key{}, err
+	}
+	t := opts.Thresholds
+	blob, err := json.Marshal(evaluateKeyBase{
+		Budgets: sortedThresholds{
+			CellWriteFraction: t.CellWriteFraction,
+			EnergyOverhead:    t.EnergyOverhead,
+			PerfOverhead:      t.PerfOverhead,
+			WriteFraction:     t.WriteFraction,
+		},
+		Priority:  float64(opts.Priority),
+		Scale:     opts.Scale,
+		Structure: s.String(),
+		Workload:  workload,
+	})
+	if err != nil {
+		return resultcache.Key{}, fmt.Errorf("resultcache: base key: %w", err)
+	}
+	return resultcache.Key{Base: resultcache.Digest(cacheKindEvaluate, blob), Fault: fault}, nil
 }
 
 // soakFault is the fault/wear/recovery model of one soak trial — the
@@ -142,29 +198,43 @@ func cachedRun(c *resultcache.Cache, k resultcache.Key, run func(context.Context
 	}
 }
 
-// EvaluateCachedContext evaluates one workload × structure through the
-// result cache: a hit (or a collapse onto a concurrent identical
-// evaluation) is served from the cached bytes instead of running the
-// pipeline. Each cache entry is decoded on its first hit only; later
-// hits return that same decoded Outcome. A miss returns the Outcome it
-// computed, with Profile cleared. Either way Profile is nil and the
-// Outcome re-marshals to exactly the cached bytes. The second return
-// reports whether the cache satisfied the call. A nil cache degrades
-// to EvaluateByNameContext (Profile kept).
-//
-// The returned Outcome's maps and slices may be shared with other
-// callers and with the cache: treat them as read-only.
-func EvaluateCachedContext(ctx context.Context, c *resultcache.Cache, name string, structure core.Structure, opts Options) (Outcome, bool, error) {
-	if c == nil {
-		out, err := EvaluateByNameContext(ctx, name, structure, opts)
-		return out, false, err
-	}
+// Served is an evaluate cache entry in the forms ftspmd answers with:
+// the decoded Outcome, plus two reply fragments encoded once and
+// indented at the depth where they sit in a reply, so a warm
+// /v1/evaluate or /v1/map copies bytes instead of encoding the entry
+// again. It is the memo of every evaluate entry (see
+// resultcache.Cache.GetOrComputeDecoded) and is shared: treat it, the
+// Outcome's maps and slices included, as read-only.
+type Served struct {
+	Outcome Outcome
+	// Evaluate is the /v1/evaluate reply body up to its elapsed_ms
+	// value: `{"run": <RunSummary>, "elapsed_ms": ` as the server's
+	// two-space indented encoding writes it.
+	Evaluate []byte
+	// Entry is the entry's MapEntry indented at depth 2, as it sits in
+	// the entries array of a /v1/map reply.
+	Entry []byte
+}
+
+// EvaluateServed evaluates one workload × structure through cache c,
+// which must not be nil, and returns the entry's served form. A hit
+// (or a collapse onto a concurrent identical evaluation) is served
+// from the cache instead of running the pipeline; each entry builds
+// its Served on its first hit only, and later hits return that same
+// value. A miss builds a Served from the Outcome it computed, with
+// Profile cleared, and returns it without memoizing it; a collapsed
+// waiter decodes the bytes it received. Either way the Outcome
+// (Profile nil) marshals to exactly the cached bytes, and the
+// fragments are those a hit serves. The second return reports whether
+// the cache satisfied the call.
+func EvaluateServed(ctx context.Context, c *resultcache.Cache, name string, structure core.Structure, opts Options) (*Served, bool, error) {
 	opts = opts.normalize()
 	k, err := evaluateCacheKey(name, structure, opts)
 	if err != nil {
-		return Outcome{}, false, err
+		return nil, false, err
 	}
-	v, hit, err := c.GetOrComputeDecoded(ctx, k, decodeOutcome, func(cctx context.Context) (any, []byte, error) {
+	decode := func(b []byte) (any, int64, error) { return serve(name, structure, b) }
+	v, hit, err := c.GetOrComputeDecoded(ctx, k, decode, func(cctx context.Context) (any, []byte, error) {
 		out, err := EvaluateByNameContext(cctx, name, structure, opts)
 		if err != nil {
 			return nil, nil, err
@@ -174,19 +244,62 @@ func EvaluateCachedContext(ctx context.Context, c *resultcache.Cache, name strin
 			return nil, nil, err
 		}
 		out.Profile = nil
-		return &out, b, nil
+		sv := &Served{Outcome: out}
+		return sv, b, sv.encode(name, structure)
 	})
+	if err != nil {
+		return nil, false, err
+	}
+	return v.(*Served), hit, nil
+}
+
+// EvaluateCachedContext is EvaluateServed's Outcome. A nil cache
+// degrades to EvaluateByNameContext (Profile kept).
+func EvaluateCachedContext(ctx context.Context, c *resultcache.Cache, name string, structure core.Structure, opts Options) (Outcome, bool, error) {
+	if c == nil {
+		out, err := EvaluateByNameContext(ctx, name, structure, opts)
+		return out, false, err
+	}
+	sv, hit, err := EvaluateServed(ctx, c, name, structure, opts)
 	if err != nil {
 		return Outcome{}, false, err
 	}
-	return *v.(*Outcome), hit, nil
+	return sv.Outcome, hit, nil
 }
 
-// decodeOutcome decodes cached evaluate bytes for GetOrComputeDecoded.
-func decodeOutcome(b []byte) (any, error) {
-	out := new(Outcome)
-	if err := json.Unmarshal(b, out); err != nil {
-		return nil, fmt.Errorf("experiments: decode cached outcome: %w", err)
+// serve decodes the cached evaluate bytes b of (name, structure) into
+// their Served form, and reports its size for the cache's byte bound:
+// the fragments' length plus len(b) for the decoded Outcome (which
+// holds less heap than its encoding).
+func serve(name string, structure core.Structure, b []byte) (*Served, int64, error) {
+	sv := new(Served)
+	if err := json.Unmarshal(b, &sv.Outcome); err != nil {
+		return nil, 0, fmt.Errorf("experiments: decode cached outcome: %w", err)
 	}
-	return out, nil
+	if err := sv.encode(name, structure); err != nil {
+		return nil, 0, err
+	}
+	return sv, int64(len(b) + len(sv.Evaluate) + len(sv.Entry)), nil
+}
+
+// encode fills the fragments from sv.Outcome. The fragments derive
+// from the Outcome's JSON fields alone, so an Outcome that marshals to
+// an entry's bytes, as a miss's computed one does, encodes exactly the
+// fragments a decoded hit does.
+func (sv *Served) encode(name string, structure core.Structure) error {
+	run := summarizeRun(sv.Outcome)
+	r, err := json.MarshalIndent(run, "  ", "  ")
+	if err != nil {
+		return err
+	}
+	const head, tail = "{\n  \"run\": ", ",\n  \"elapsed_ms\": "
+	sv.Evaluate = make([]byte, 0, len(head)+len(r)+len(tail))
+	sv.Evaluate = append(append(append(sv.Evaluate, head...), r...), tail...)
+	sv.Entry, err = json.MarshalIndent(MapEntry{
+		Workload:  name,
+		Structure: structure.String(),
+		Mapping:   sv.Outcome.Mapping,
+		Run:       run,
+	}, "    ", "  ")
+	return err
 }

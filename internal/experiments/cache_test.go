@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
+	"unicode/utf8"
 
 	"ftspm/internal/core"
 	"ftspm/internal/resultcache"
@@ -229,8 +233,134 @@ func TestEvaluateCachedMissAndHitsMatchCachedBytes(t *testing.T) {
 	if len(outs[1].Mapping.Decisions) == 0 || &outs[1].Mapping.Decisions[0] != &outs[2].Mapping.Decisions[0] {
 		t.Fatal("memoized hit did not share the decoding hit's value")
 	}
-	// Two evaluate hits plus the Get above.
-	if s := c.Stats(); s.Hits != 3 || s.Misses != 1 || s.Bytes != 2*int64(len(cached)) {
-		t.Fatalf("stats = %+v, want hits=3 misses=1 and one memo charge", s)
+	// Two evaluate hits plus the Get above. The memo is charged at
+	// its Outcome (len(cached)) plus its two fragments.
+	sv, _, err := serve("sha", core.StructFTSPM, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := int64(len(cached) + len(sv.Evaluate) + len(sv.Entry))
+	if s := c.Stats(); s.Hits != 3 || s.Misses != 1 || s.Bytes != int64(len(cached))+memo {
+		t.Fatalf("stats = %+v, want hits=3 misses=1 and one memo charge of %d", s, memo)
+	}
+}
+
+// Two concurrent first calls (a miss, and a collapsed waiter or a
+// hit), the first memoizing hit and a memoized hit of one key return
+// equal served fragments; the memoized hit shares the memoizing hit's
+// value.
+func TestEvaluateServedFragmentsMatch(t *testing.T) {
+	opts := Options{Scale: 0.02}
+	ctx := context.Background()
+	c := newTestCache(t)
+	var got [4]*Served
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			sv, _, err := EvaluateServed(ctx, c, "sha", core.StructFTSPM, opts)
+			got[i] = sv
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 2; i < 4; i++ {
+		sv, hit, err := EvaluateServed(ctx, c, "sha", core.StructFTSPM, opts)
+		if err != nil || !hit {
+			t.Fatalf("call %d: hit=%v err=%v", i, hit, err)
+		}
+		got[i] = sv
+	}
+	if got[2] != got[3] {
+		t.Fatal("memoized hit did not share the memoizing hit's value")
+	}
+	for i, sv := range got[1:] {
+		if !bytes.Equal(sv.Evaluate, got[0].Evaluate) || !bytes.Equal(sv.Entry, got[0].Entry) {
+			t.Fatalf("call %d: fragments differ from the first call's", i+1)
+		}
+	}
+	var entry MapEntry
+	if err := json.Unmarshal(got[0].Entry, &entry); err != nil || entry.Workload != "sha" || entry.Run.Cycles == 0 {
+		t.Fatalf("entry fragment decodes to %+v, %v", entry, err)
+	}
+}
+
+// resultcacheEvaluateKey is evaluateCacheKey as resultcache.NewKey
+// derives it: the canonicalizing round trip over the base struct and
+// the fault marker. Keys stored in caches, disk segments and sweep
+// journals were derived this way, so the one-marshal key must match it.
+func resultcacheEvaluateKey(workload string, s core.Structure, opts Options) (resultcache.Key, error) {
+	base := struct {
+		Workload  string          `json:"workload"`
+		Structure string          `json:"structure"`
+		Scale     float64         `json:"scale"`
+		Budgets   core.Thresholds `json:"budgets"`
+		Priority  core.Priority   `json:"priority"`
+	}{workload, s.String(), opts.Scale, opts.Thresholds, opts.Priority}
+	return resultcache.NewKey(cacheKindEvaluate, base, evaluateFault{Model: "analytic-avf"})
+}
+
+// For any valid-UTF-8 workload string, any structure, any finite scale
+// and thresholds and any priority, the one-marshal evaluate key equals
+// the resultcache.NewKey form. Invalid UTF-8 is out of scope: HTTP
+// bodies cannot carry it (the JSON decoder replaces it), and
+// CanonicalJSON's round trip rewrites its escapes.
+func FuzzEvaluateKeyCanonical(f *testing.F) {
+	d := DefaultOptions().Thresholds
+	f.Add("sha", int(core.StructFTSPM), 0.25, d.PerfOverhead, d.EnergyOverhead, d.WriteFraction, d.CellWriteFraction, int(core.PriorityReliability))
+	f.Add("<a&b> \"\\", 0, 1e-7, -0.0, 1e21, 5e-324, 1.7976931348623157e308, -1)
+	f.Add("", 99, 123456789.125, 0.1, 0.2, 0.3, 0.4, 1<<62+1)
+	f.Fuzz(func(t *testing.T, workload string, structure int, scale, perf, energy, write, cell float64, priority int) {
+		if !utf8.ValidString(workload) {
+			t.Skip("invalid UTF-8")
+		}
+		for _, v := range []float64{scale, perf, energy, write, cell} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite")
+			}
+		}
+		opts := Options{
+			Scale: scale,
+			Thresholds: core.Thresholds{
+				PerfOverhead:      perf,
+				EnergyOverhead:    energy,
+				WriteFraction:     write,
+				CellWriteFraction: cell,
+			},
+			Priority: core.Priority(priority),
+		}
+		got, err := evaluateCacheKey(workload, core.Structure(structure), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := resultcacheEvaluateKey(workload, core.Structure(structure), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("key %v, resultcache.NewKey form %v", got, want)
+		}
+	})
+}
+
+// sortedThresholds must hold exactly core.Thresholds' fields, in sorted
+// name order and with the same types: a field added to core.Thresholds
+// alone would drop out of every evaluate key.
+func TestSortedThresholdsMatchCore(t *testing.T) {
+	fields := func(typ reflect.Type) []string {
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			out = append(out, f.Name+" "+f.Type.String()+" "+string(f.Tag))
+		}
+		return out
+	}
+	want := fields(reflect.TypeOf(core.Thresholds{}))
+	sort.Strings(want)
+	if got := fields(reflect.TypeOf(sortedThresholds{})); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sortedThresholds fields %q, want core.Thresholds' fields in sorted order %q", got, want)
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"encoding/json"
 	"io"
+
+	"ftspm/internal/core"
 )
 
 // Summary is the machine-readable result of a sweep: the headline
@@ -59,6 +61,20 @@ type RunSummary struct {
 	EstPerfOverhead  float64 `json:"est_perf_overhead"`
 	EstEnergyOverhd  float64 `json:"est_energy_overhead"`
 	WriteThresholdWd float64 `json:"write_threshold_words"`
+}
+
+// MapEntry is one (workload, structure) placement, as ftspmd's
+// /v1/map lists it. The fields are derived purely from the evaluation
+// outcome, so an entry is byte-identical whether it was computed for
+// the request or served from the cache.
+type MapEntry struct {
+	Workload  string `json:"workload"`
+	Structure string `json:"structure"`
+	// Mapping is the MDA decision: the block placement, the per-block
+	// decision trail, and the estimated overheads.
+	Mapping core.Mapping `json:"mapping"`
+	// Run holds the flattened evaluation metrics for the placement.
+	Run RunSummary `json:"run"`
 }
 
 // Summarize flattens a sweep into a Summary.

@@ -12,11 +12,11 @@ type Config struct {
 	// MaxEntries bounds the in-memory tier's entry count (0 = 4096).
 	MaxEntries int
 	// MaxBytes bounds the in-memory tier's total value bytes
-	// (0 = 64 MiB), counting an entry's bytes twice once it holds a
-	// decoded value (see GetOrComputeDecoded). Both bounds are
-	// enforced by LRU eviction; an entry larger than MaxBytes is stored
-	// on disk (if configured) but not pinned in memory, and counted in
-	// Stats.Oversize.
+	// (0 = 64 MiB), counting an entry's memo too once it holds one, at
+	// the size its decoder reports (see GetOrComputeDecoded). Both
+	// bounds are enforced by LRU eviction; an entry larger than
+	// MaxBytes is stored on disk (if configured) but not pinned in
+	// memory, and counted in Stats.Oversize.
 	MaxBytes int64
 	// Path, when non-empty, enables the on-disk tier: an append-only
 	// JSONL segment whose records reuse the campaign journal's v2
@@ -57,7 +57,7 @@ type Stats struct {
 	// on, lost otherwise.
 	Oversize uint64 `json:"oversize"`
 	// Entries/Bytes describe the memory tier right now (Bytes as
-	// charged against MaxBytes, decoded values included); DiskEntries
+	// charged against MaxBytes, memos included); DiskEntries
 	// the disk index.
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
@@ -88,17 +88,16 @@ type entry struct {
 	key Key
 	val []byte
 	// memo is the decoded form of val, set by the first
-	// GetOrComputeDecoded hit and dropped with the entry.
-	memo any
+	// GetOrComputeDecoded hit and dropped with the entry; memoSize is
+	// the size its decoder reported for it.
+	memo     any
+	memoSize int64
 }
 
-// size is what the entry charges against MaxBytes: its bytes, and the
-// same again for a memoized decoded value.
+// size is what the entry charges against MaxBytes: its bytes, plus its
+// memo's reported size once it holds one.
 func (e *entry) size() int64 {
-	if e.memo != nil {
-		return 2 * int64(len(e.val))
-	}
-	return int64(len(e.val))
+	return int64(len(e.val)) + e.memoSize
 }
 
 // call is one in-flight computation other callers can wait on.
@@ -271,18 +270,26 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 	}
 }
 
-// GetOrComputeDecoded is GetOrCompute for callers that want a decoded
-// form of the value rather than its bytes. Its lookup moves the LRU
-// and the counters exactly as GetOrCompute's does. A hit returns the
-// entry's memoized decoded value; the entry's first such hit runs
-// decode and memoizes the result, which then lives and dies with the
-// entry (a decode error is returned and nothing is memoized). A miss
-// runs compute, which returns the value and the bytes to cache; that
-// value is returned as is and never memoized, so one-off results hold
-// no decoded memory. A collapsed waiter decodes the executor's bytes.
+// GetOrComputeDecoded is GetOrCompute for callers that want a form
+// derived from the value rather than its bytes. Its lookup moves the
+// LRU and the counters exactly as GetOrCompute's does. A hit returns
+// the entry's memo; the entry's first such hit runs decode and
+// memoizes the result, which then lives and dies with the entry (a
+// decode error is returned and nothing is memoized). A miss runs
+// compute, which returns the value and the bytes to cache; that value
+// is returned as is and never memoized, so one-off results hold no
+// memo memory. A collapsed waiter decodes the executor's bytes.
+//
+// A memo may be anything decode derives from the bytes alone: a
+// decoded struct, encodings of it served as they are, or both. decode
+// reports the memo's size in bytes, which is charged against MaxBytes
+// on top of the entry's own bytes while the memo is held; an entry
+// whose bytes and memo together exceed MaxBytes is served but not
+// memoized. Every caller of one key must pass the same decode, so an
+// entry never holds two kinds of memo.
 //
 // Returned values are shared between callers: treat them as read-only.
-func (c *Cache) GetOrComputeDecoded(ctx context.Context, k Key, decode func([]byte) (any, error), compute func(context.Context) (any, []byte, error)) (any, bool, error) {
+func (c *Cache) GetOrComputeDecoded(ctx context.Context, k Key, decode func([]byte) (any, int64, error), compute func(context.Context) (any, []byte, error)) (any, bool, error) {
 	if !k.Valid() {
 		obj, _, err := compute(ctx)
 		return obj, false, err
@@ -305,7 +312,7 @@ func (c *Cache) GetOrComputeDecoded(ctx context.Context, k Key, decode func([]by
 		} else if err != nil {
 			return nil, false, err
 		}
-		obj, err := decode(cl.val)
+		obj, _, err := decode(cl.val)
 		if err != nil {
 			return nil, false, err
 		}
@@ -317,7 +324,7 @@ func (c *Cache) GetOrComputeDecoded(ctx context.Context, k Key, decode func([]by
 // it, and on a hit the memoized value, or a fresh decode memoized on
 // the entry. Decoding runs outside the lock, so concurrent first hits
 // on one key may each decode; the first to finish is kept and shared.
-func (c *Cache) getDecoded(k Key, decode func([]byte) (any, error)) (any, bool, error) {
+func (c *Cache) getDecoded(k Key, decode func([]byte) (any, int64, error)) (any, bool, error) {
 	c.mu.Lock()
 	e, v, ok := c.lookupLocked(k)
 	var memo any
@@ -331,22 +338,21 @@ func (c *Cache) getDecoded(k Key, decode func([]byte) (any, error)) (any, bool, 
 	if memo != nil {
 		return memo, true, nil
 	}
-	obj, err := decode(v)
+	obj, size, err := decode(v)
 	if err != nil {
 		return nil, true, err
 	}
 	if e != nil {
-		obj = c.memoize(e, obj)
+		obj = c.memoize(e, obj, size)
 	}
 	return obj, true, nil
 }
 
-// memoize attaches obj to e and returns the value e now holds, which
-// is another caller's if a concurrent hit got there first. The decoded
-// value is charged against MaxBytes at len(e.val) a second time. An
-// entry that has left the memory tier, or whose doubled charge alone
-// exceeds MaxBytes, is not memoized.
-func (c *Cache) memoize(e *entry, obj any) any {
+// memoize attaches obj to e, charged at size, and returns the value e
+// now holds, which is another caller's if a concurrent hit got there
+// first. An entry that has left the memory tier, or whose bytes and
+// memo alone exceed MaxBytes, is not memoized.
+func (c *Cache) memoize(e *entry, obj any, size int64) any {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e.memo != nil {
@@ -355,11 +361,11 @@ func (c *Cache) memoize(e *entry, obj any) any {
 	if el, ok := c.index[e.key.String()]; !ok || el.Value.(*entry) != e {
 		return obj
 	}
-	if 2*int64(len(e.val)) > c.maxBytes {
+	if int64(len(e.val))+size > c.maxBytes {
 		return obj
 	}
-	e.memo = obj
-	c.bytes += int64(len(e.val))
+	e.memo, e.memoSize = obj, size
+	c.bytes += size
 	c.evictLocked()
 	return obj
 }

@@ -68,19 +68,32 @@ func CanonicalJSON(v any) ([]byte, error) {
 	return json.Marshal(u)
 }
 
-// digest hashes kind + canonical JSON into a hex digest. The kind
-// string namespaces key spaces (evaluate vs soak trial) so identical
-// payloads in different domains can never collide.
+// digest hashes kind + canonical JSON into a hex digest.
 func digest(kind string, v any) (string, error) {
 	blob, err := CanonicalJSON(v)
 	if err != nil {
 		return "", err
 	}
+	return Digest(kind, blob), nil
+}
+
+// Digest hashes kind plus canonical, JSON already in the form
+// CanonicalJSON returns, into one key component: NewKey's components
+// are Digest(kind, CanonicalJSON(v)). A caller that writes canonical
+// JSON directly (one json.Marshal of a struct whose fields are in
+// sorted name order at every level) gets the same key without the
+// round trip. The kind string namespaces key spaces (evaluate vs soak
+// trial) so identical payloads in different domains can never
+// collide.
+func Digest(kind string, canonical []byte) string {
 	h := sha256.New()
 	h.Write([]byte(kind))
 	h.Write([]byte{0})
-	h.Write(blob)
-	return hex.EncodeToString(h.Sum(nil))[:32], nil
+	h.Write(canonical)
+	var sum [sha256.Size]byte
+	var hx [32]byte
+	hex.Encode(hx[:], h.Sum(sum[:0])[:16])
+	return string(hx[:])
 }
 
 // NewKey builds a content address from a kind tag, the problem

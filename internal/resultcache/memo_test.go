@@ -21,12 +21,14 @@ type counter struct {
 	fail atomic.Bool
 }
 
-func (d *counter) decode(b []byte) (any, error) {
+// decode reports the memo's size as len(b), so a memoized entry is
+// charged twice its bytes.
+func (d *counter) decode(b []byte) (any, int64, error) {
 	d.n.Add(1)
 	if d.fail.Load() {
-		return nil, errors.New("bad bytes")
+		return nil, 0, errors.New("bad bytes")
 	}
-	return &decoded{string(b)}, nil
+	return &decoded{string(b)}, int64(len(b)), nil
 }
 
 func computeOf(s string) func(context.Context) (any, []byte, error) {
@@ -328,5 +330,30 @@ func TestConcurrentDecodedHits(t *testing.T) {
 	}
 	if s := c.Stats(); s.Hits != goroutines+1 || s.Bytes != 6 {
 		t.Fatalf("stats = %+v, want %d hits and one memo charge", s, goroutines+1)
+	}
+}
+
+// A memo is charged at the size its decoder reports, not at the
+// entry's byte length, and is not kept when the entry's bytes and that
+// size together exceed MaxBytes.
+func TestMemoChargedAtReportedSize(t *testing.T) {
+	const size = 40
+	decode := func(b []byte) (any, int64, error) { return &decoded{string(b)}, size, nil }
+	for _, tc := range []struct {
+		maxBytes int64
+		want     int64
+	}{{100, 5 + size}, {44, 5}} {
+		c, err := Open(Config{MaxBytes: tc.maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := mustKey(t, "t", "p", nil)
+		c.Put(k, []byte("value"))
+		if _, hit, err := c.GetOrComputeDecoded(context.Background(), k, decode, nil); err != nil || !hit {
+			t.Fatalf("MaxBytes %d: hit=%v err=%v", tc.maxBytes, hit, err)
+		}
+		if s := c.Stats(); s.Bytes != tc.want || s.Entries != 1 || s.Evictions != 0 {
+			t.Fatalf("MaxBytes %d: stats = %+v, want bytes=%d and the entry kept", tc.maxBytes, s, tc.want)
+		}
 	}
 }

@@ -52,13 +52,19 @@ type EvaluateRequest struct {
 type EvaluateResponse struct {
 	// Run holds the flattened evaluation metrics.
 	Run experiments.RunSummary `json:"run"`
-	// ElapsedMS is the service time (queueing included).
+	// ElapsedMS is the service time, measured from the moment the
+	// request holds its evaluate slot: admission queueing is not
+	// included.
 	ElapsedMS int64 `json:"elapsed_ms"`
 
 	// cached reports whether the result cache satisfied the request.
 	// It travels in the X-Ftspm-Cache response header, never the body:
 	// cached and uncached response bodies are byte-identical.
 	cached bool
+	// head, when set, is the cache entry's encoded-once body up to the
+	// elapsed_ms value (experiments.Served.Evaluate), written in place
+	// of encoding Run, which is then left zero.
+	head []byte
 }
 
 // CampaignRequest is the crash-safe campaign block that SweepRequest

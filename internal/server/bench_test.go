@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,18 @@ func BenchmarkMapHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveOnce(b, h, "/v1/map", `{}`, "")
+	}
+}
+
+// BenchmarkEvaluateMiss times a cold /v1/evaluate: each iteration asks
+// for a scale no earlier request used, near 0.01 like the misses of
+// perfbench's serve workload, so every request simulates.
+func BenchmarkEvaluateMiss(b *testing.B) {
+	h := newBenchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := `{"workload":"sha","structure":"ftspm","scale":` + strconv.FormatFloat(0.01+float64(i)*1e-9, 'g', -1, 64) + `}`
+		serveOnce(b, h, "/v1/evaluate", body, "miss")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strconv"
 
 	"ftspm/internal/core"
 	"ftspm/internal/experiments"
@@ -30,19 +31,10 @@ type MapRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// MapEntry is one (workload, structure) placement. The fields are
-// derived purely from the evaluation outcome, so an entry is
-// byte-identical whether it was computed for this request or served
-// from the cache.
-type MapEntry struct {
-	Workload  string `json:"workload"`
-	Structure string `json:"structure"`
-	// Mapping is the MDA decision: the block placement, the per-block
-	// decision trail, and the estimated overheads.
-	Mapping core.Mapping `json:"mapping"`
-	// Run holds the flattened evaluation metrics for the placement.
-	Run experiments.RunSummary `json:"run"`
-}
+// MapEntry is one (workload, structure) placement (see
+// experiments.MapEntry, where it is defined so that each cache entry
+// can hold its own encoding).
+type MapEntry = experiments.MapEntry
 
 // MapResponse is the reply to a completed map batch. Entries are
 // ordered workload-major in request order. CacheHits/CacheMisses
@@ -52,7 +44,10 @@ type MapResponse struct {
 	Entries     []MapEntry `json:"entries"`
 	CacheHits   int        `json:"cache_hits"`
 	CacheMisses int        `json:"cache_misses"`
-	ElapsedMS   int64      `json:"elapsed_ms"`
+	// ElapsedMS is the service time of the batch, measured from the
+	// moment it holds its evaluate slot: admission queueing is not
+	// included.
+	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
 func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
@@ -107,10 +102,36 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	defer sl.release()
 
 	start := s.nowFn()
-	resp := MapResponse{Entries: make([]MapEntry, 0, len(names)*len(structures))}
+	var (
+		entries      []MapEntry // NoCache: encoded by writeJSON
+		served       [][]byte   // cached: each entry's encoded-once fragment
+		hits, misses int
+	)
+	if n := len(names) * len(structures); s.cache == nil {
+		entries = make([]MapEntry, 0, n)
+	} else {
+		served = make([][]byte, 0, n)
+	}
 	for _, name := range names {
 		for _, st := range structures {
-			out, hit, err := experiments.EvaluateCachedContext(ctx, s.cache, name, st, opts)
+			var hit bool
+			var err error
+			if s.cache == nil {
+				var out experiments.Outcome
+				if out, err = experiments.EvaluateByNameContext(ctx, name, st, opts); err == nil {
+					entries = append(entries, MapEntry{
+						Workload:  name,
+						Structure: st.String(),
+						Mapping:   out.Mapping,
+						Run:       experiments.SummarizeOutcome(out),
+					})
+				}
+			} else {
+				var sv *experiments.Served
+				if sv, hit, err = experiments.EvaluateServed(ctx, s.cache, name, st, opts); err == nil {
+					served = append(served, sv.Entry)
+				}
+			}
 			if err != nil {
 				switch {
 				case errors.Is(err, context.DeadlineExceeded):
@@ -127,19 +148,41 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if hit {
-				resp.CacheHits++
+				hits++
 			} else {
-				resp.CacheMisses++
+				misses++
 			}
-			resp.Entries = append(resp.Entries, MapEntry{
-				Workload:  name,
-				Structure: st.String(),
-				Mapping:   out.Mapping,
-				Run:       experiments.SummarizeOutcome(out),
-			})
 		}
 	}
 	s.brk.RecordOutcome(false)
-	resp.ElapsedMS = s.nowFn().Sub(start).Milliseconds()
-	writeJSON(w, http.StatusOK, resp)
+	elapsed := s.nowFn().Sub(start).Milliseconds()
+	if s.cache == nil {
+		writeJSON(w, http.StatusOK, MapResponse{Entries: entries, CacheHits: hits, CacheMisses: misses, ElapsedMS: elapsed})
+		return
+	}
+	writeBody(w, mapBody(served, hits, misses, elapsed))
+}
+
+// mapBody joins the entries' encoded-once fragments
+// (experiments.Served.Entry) with the per-request fields into the
+// bytes writeJSON writes for the same MapResponse.
+func mapBody(entries [][]byte, hits, misses int, elapsedMS int64) []byte {
+	n := 80 + 3*20 // the fixed text and three decimal ints
+	for _, e := range entries {
+		n += len(e) + 6
+	}
+	b := append(make([]byte, 0, n), "{\n  \"entries\": ["...)
+	for i, e := range entries {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(b, "\n    "...), e...)
+	}
+	if len(entries) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = strconv.AppendInt(append(b, "],\n  \"cache_hits\": "...), int64(hits), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"cache_misses\": "...), int64(misses), 10)
+	b = strconv.AppendInt(append(b, ",\n  \"elapsed_ms\": "...), elapsedMS, 10)
+	return append(b, "\n}\n"...)
 }

@@ -263,21 +263,28 @@ func (s *Server) timeout(ms int64) time.Duration {
 // evaluate is the production evaluation body behind /v1/evaluate. It
 // runs through the result cache: a repeated (workload, structure,
 // scale) request — or one whose sub-problem an earlier sweep already
-// computed — is served from the cache (its bytes decoded once, on the
-// entry's first hit) instead of simulating, and concurrent identical
-// requests collapse onto one execution. The response body is
-// byte-identical either way; cache status travels in the
-// X-Ftspm-Cache header only.
+// computed — is served from the cache entry's reply fragment, encoded
+// once on the entry's first hit, instead of simulating, and concurrent
+// identical requests collapse onto one execution. The response body is
+// byte-identical either way, and to the NoCache path's; cache status
+// travels in the X-Ftspm-Cache header only.
 func (s *Server) evaluate(ctx context.Context, req EvaluateRequest, structure core.Structure) (*EvaluateResponse, error) {
 	opts := experiments.Options{Scale: req.Scale}
 	if opts.Scale == 0 {
 		opts.Scale = s.cfg.DefaultScale
 	}
-	out, hit, err := experiments.EvaluateCachedContext(ctx, s.cache, req.Workload, structure, opts)
+	if s.cache == nil {
+		out, err := experiments.EvaluateByNameContext(ctx, req.Workload, structure, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &EvaluateResponse{Run: experiments.SummarizeOutcome(out)}, nil
+	}
+	sv, hit, err := experiments.EvaluateServed(ctx, s.cache, req.Workload, structure, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &EvaluateResponse{Run: experiments.SummarizeOutcome(out), cached: hit}, nil
+	return &EvaluateResponse{cached: hit, head: sv.Evaluate}, nil
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
@@ -350,7 +357,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Ftspm-Cache", "miss")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if resp.head == nil {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	body := append(make([]byte, 0, len(resp.head)+24), resp.head...)
+	writeBody(w, append(strconv.AppendInt(body, resp.ElapsedMS, 10), "\n}\n"...))
 }
 
 // checkpointName validates client-chosen checkpoint file names: a
@@ -657,6 +669,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the client hung up; nothing useful to do
+}
+
+// writeBody writes a 200 reply joined from encoded-once fragments
+// (see experiments.Served): the bytes writeJSON writes for the same
+// reply, in one Write as writeJSON makes it.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // the client hung up; nothing useful to do
 }
 
 // writeError writes the uniform error body; retryAfter > 0 additionally
